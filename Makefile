@@ -21,7 +21,7 @@ SOAK_OBS_DURATION ?= 20s
 SOAK_OBS_OUT ?= bench-soak-observer.json
 SOAK_OBS_FLAGS ?=
 
-.PHONY: check vet lint steervet staticcheck vulncheck build test test-framedebug bench bench-hotpath bench-smoke bench-compare fuzz-smoke cover soak soak-observer
+.PHONY: check vet lint steervet staticcheck vulncheck build test test-framedebug bench steerbench steerbench-test bench-hotpath bench-smoke bench-compare fuzz-smoke cover soak soak-observer
 
 check: vet lint build test test-framedebug bench-smoke
 
@@ -66,6 +66,19 @@ test-framedebug:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# steerbench is the repository's one pinned benchmark (BENCHMARK.json,
+# bench/README.md): every workload untraced then traced, one child process
+# per run. bench/ is its own module, so ./... above never reaches it;
+# steerbench-test runs its tests. Not in `check` or CI yet: TestSmoke's
+# last observe.hall assertion (observer deliver >= 5x steering deliver)
+# describes the hold the steer push-through removed and fails until a
+# benchmark-only change updates bench/bench_test.go.
+steerbench:
+	$(GO) run -C bench repro/bench
+
+steerbench-test:
+	cd bench && $(GO) test ./...
 
 # bench-hotpath is the broadcast hot-path measurement from DESIGN.md §4.1:
 # allocs/op must sit at 0 in the steady state, and ns/op should fall as

@@ -34,10 +34,12 @@
 // next queued requester is granted it. 0 disables lease expiry.
 //
 // -fanout-workers sizes the per-session observer-tier relay pool (0 picks
-// min(4, GOMAXPROCS)) and -observer-interval sets the observer coalescing
-// cadence: observers receive freshest-wins sample batches on this interval
-// instead of every frame (0 keeps the 25ms default, negative flushes
-// immediately).
+// min(4, GOMAXPROCS)) and -observer-interval sets the longest unprompted
+// spacing between observer flushes: under a dense stream observers receive
+// freshest-wins sample batches at most this often instead of every frame,
+// while steer-caused frames are not held; a parameter update with no sample
+// behind it reaches observers under the same limit (0 keeps the 25ms
+// default, negative flushes every frame).
 //
 // Egress and socket tuning: -coalesce-bytes sets the vectored (writev)
 // egress gather threshold — frames below it are copied into one shared
@@ -80,7 +82,7 @@ func main() {
 	floorPolicyFlag := flag.String("floor-policy", "fifo", "master floor arbitration: fifo, priority or steal")
 	masterLease := flag.Duration("master-lease", 10*time.Second, "master lease; a master silent this long loses the floor (0 disables)")
 	fanoutWorkers := flag.Int("fanout-workers", 0, "observer-tier relay workers per session (0 = auto, negative = 1)")
-	observerInterval := flag.Duration("observer-interval", 0, "observer coalescing interval (0 = default 25ms, negative = flush immediately)")
+	observerInterval := flag.Duration("observer-interval", 0, "longest unprompted spacing between observer flushes; steer-caused frames are not held (0 = default 25ms, negative = flush every frame)")
 	coalesceBytes := flag.Int("coalesce-bytes", 0, "vectored egress gather threshold: frames below it share one iovec (0 = default ~1KB, negative disables gathering)")
 	tcpNoDelay := flag.Bool("tcp-nodelay", true, "set TCP_NODELAY on accepted connections (false re-enables Nagle)")
 	tcpRcvBuf := flag.Int("tcp-rcvbuf", 0, "SO_RCVBUF for accepted connections in bytes (0 = OS default)")
@@ -208,8 +210,8 @@ func main() {
 		stats.Sessions, stats.Clients, stats.SamplesEmitted, stats.SamplesDelivered, stats.SamplesDropped)
 	fmt.Printf("steerd: floor activity: %d grants, %d denials, %d lease expiries, %d steals, %d handoffs, %d pending\n",
 		stats.FloorGrants, stats.FloorDenials, stats.FloorExpiries, stats.FloorSteals, stats.FloorHandoffs, stats.FloorPending)
-	fmt.Printf("steerd: delivery tiers: %d steerers, %d observers, %d frames filtered, %d relay publishes, %d coalesced\n",
-		stats.TierSteerers, stats.TierObservers, stats.FramesFiltered, stats.RelayPublished, stats.RelayCoalesced)
+	fmt.Printf("steerd: delivery tiers: %d steerers, %d observers, %d frames filtered, %d relay publishes, %d coalesced, %d observer flushes pushed by a steer\n",
+		stats.TierSteerers, stats.TierObservers, stats.FramesFiltered, stats.RelayPublished, stats.RelayCoalesced, stats.RelayPushed)
 	fmt.Printf("steerd: egress: %d vectored batches, %d buffered, %d frames coalesced (%d bytes), %d bytes zero-copy, ~%d syscalls saved\n",
 		stats.EgressBatchesVectored, stats.EgressBatchesBuffered, stats.EgressFramesCoalesced,
 		stats.EgressBytesCoalesced, stats.EgressBytesZeroCopy, stats.EgressSyscallsSaved)

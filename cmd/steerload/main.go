@@ -72,7 +72,7 @@ func main() {
 	flag.BoolVar(&sc.Journal, "journal", false, "journal in-process sessions in a temp dir (late joins replay history)")
 	flag.BoolVar(&sc.ObserverTier, "observer-tier", false, "attach observers at the observer tier with interest subscriptions (local mode)")
 	flag.Float64Var(&sc.ObserverInterest, "observer-interest", 0.01, "fraction of observers subscribed to the live echo channel")
-	flag.DurationVar(&sc.ObserverInterval, "observer-interval", 0, "session observer coalescing interval (0 = core default, negative = immediate)")
+	flag.DurationVar(&sc.ObserverInterval, "observer-interval", 0, "longest unprompted spacing between observer flushes; steer-caused frames are not held (0 = core default, negative = flush every frame)")
 	flag.IntVar(&sc.FanoutWorkers, "fanout-workers", 0, "session relay workers (0 = auto)")
 	sessionNames := flag.String("session-names", "", "comma-separated session names to drive (remote mode; default derives steerd's naming)")
 	flag.StringVar(&sc.Param, "param", "", `steered parameter in remote mode (default "miscibility-g")`)

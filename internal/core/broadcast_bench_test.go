@@ -212,7 +212,9 @@ func benchInterestSession(tb testing.TB, n int, interest float64, tier Tier) (*S
 // interest (the session hands the frame to the relay workers and moves on).
 // The steering mode's ns/op grows linearly with the audience; the observer
 // mode's must stay roughly flat — the session goroutine pays O(workers),
-// not O(observers) — and both must hold 0 allocs/op.
+// not O(observers) — and both must hold 0 allocs/op. Every emission follows
+// a steer epoch bump, so each frame is push-stamped: the costliest case for
+// the relay workers.
 func BenchmarkBroadcastInterest(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		for _, mode := range []struct {
@@ -233,6 +235,7 @@ func BenchmarkBroadcastInterest(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					s.steerEpoch.Add(1)
 					st.Emit(sample)
 				}
 			})
@@ -243,9 +246,10 @@ func BenchmarkBroadcastInterest(b *testing.B) {
 // TestBroadcastInterestAllocFree pins the observer-tier emission to the
 // same zero-alloc invariant as the steering hot path: publishing a frame to
 // the relay workers — interest keys included — must not allocate in steady
-// state. The warmup must exceed relayQueue: frames park in the worker's
-// input ring until it is full, and only then does every further publish
-// recycle an evicted frame through the pool.
+// state — also when a steer epoch bump between emissions makes every frame
+// a pushed one. The warmup must exceed relayQueue: frames park in the
+// worker's input ring until it is full, and only then does every further
+// publish recycle an evicted frame through the pool.
 func TestBroadcastInterestAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool puts; zero-alloc holds only without -race")
@@ -253,15 +257,26 @@ func TestBroadcastInterestAllocFree(t *testing.T) {
 	s, st := benchInterestSession(t, 1024, 0.01, TierObserver)
 	defer s.Close()
 	sample := hotPathSample()
-	for i := 0; i < 2*relayQueue; i++ {
+	emit := func() {
+		s.steerEpoch.Add(1)
 		st.Emit(sample)
 	}
-	avg := testing.AllocsPerRun(500, func() {
-		st.Emit(sample)
-	})
+	for i := 0; i < 2*relayQueue; i++ {
+		emit()
+	}
+	// Warm-up cannot pin the pool's size: the frames in flight peak at
+	// relayQueue parked in the input rings plus a drained batch of as many
+	// per worker, a worker descheduled mid-batch reaches that peak whenever
+	// the scheduler says so, and AllocsPerRun's switch to GOMAXPROCS(1)
+	// empties a sync.Pool besides. That growth is a one-time cost of a few
+	// allocations per frame in flight, so measure over enough emissions that
+	// it rounds to nothing while an allocation per emission still reads 1.
+	inFlight := relayQueue * (1 + len(s.relay.Load().workers))
+	avg := testing.AllocsPerRun(32*inFlight, emit)
 	if avg > 0.1 {
 		t.Fatalf("observer-tier broadcast allocates %.3f allocs/op, want ~0", avg)
 	}
+	waitFor(t, "a pushed flush from the relay workers", func() bool { return s.Stats().RelayPushed > 0 })
 	if st.s.Stats().RelayPublished == 0 {
 		t.Fatal("relay published nothing — observer fan-out never engaged")
 	}

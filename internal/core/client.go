@@ -343,8 +343,9 @@ func (c *Client) Tier() Tier {
 	return c.tier
 }
 
-// ObserverInterval returns the session's advertised observer coalescing
-// interval (<= 0 means observer frames flush immediately).
+// ObserverInterval returns the session's advertised observer interval: the
+// longest unprompted spacing between observer flushes. Steer-caused frames
+// are not held for it; <= 0 means every observer frame flushes at once.
 func (c *Client) ObserverInterval() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()

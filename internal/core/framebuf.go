@@ -46,6 +46,11 @@ type FrameBuf struct {
 	// message type. Zero — every frame class that predates v5 — delivers to
 	// everyone.
 	minProto uint32
+	// push marks the first sample (and first blob) broadcast after an applied
+	// steer: observer-tier delivery flushes it at once instead of holding it
+	// for the coalescing interval (see relay.go). Steering-tier delivery,
+	// which holds nothing, ignores it.
+	push bool
 }
 
 // maxPooledFrame bounds the capacity a buffer may keep when it returns to
@@ -112,6 +117,7 @@ func GetFrame(capHint int) *FrameBuf {
 	fb.b = fb.b[:0]
 	fb.keys = fb.keys[:0]
 	fb.minProto = 0
+	fb.push = false
 	fb.refs.Store(1)
 	return fb
 }
@@ -195,6 +201,7 @@ func (f *FrameBuf) Release() {
 	}
 	f.keys = f.keys[:0]
 	f.minProto = 0
+	f.push = false
 	framePools[cls].Put(f)
 }
 

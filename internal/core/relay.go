@@ -16,16 +16,27 @@ import (
 //
 // The worker's input queue is a frameRing: under overload its drop-oldest
 // overwrite coalesces the backlog before fan-out even starts, and each
-// observer's own sample ring coalesces again between writer wakeups. With a
-// positive ObserverInterval the worker wakes writers only on that cadence,
-// so a slow observer reads freshest-wins batches instead of every frame.
+// observer's own sample ring coalesces again between writer wakeups.
+//
+// The workers are also the single owner of observer-tier writer wakeups,
+// under one policy (run, below): ObserverInterval is a rate limit, not a
+// delay. A worker flushes at once when its last flush is at least an
+// interval old, otherwise when the interval since that flush has passed —
+// so a dense stream still reaches a slow observer as freshest-wins batches,
+// at most one unprompted flush per interval, while a sparse one stops
+// waiting for a tick. A frame stamped FrameBuf.push — the first sample and
+// first blob after an applied steer — is not held at all: the worker that
+// drains it flushes now, TCP's PSH for steers, at a cost bounded by the
+// steer rate. Parameter updates toward observers are queued inline by
+// fanout but their wakeup is handed here (wake), so the update and the
+// pushed sample that follows it leave in one batch.
 
 // relayQueue bounds a worker's input ring; beyond it the oldest undelivered
 // frame is coalesced away (observers want freshest, not complete).
 const relayQueue = 256
 
-// defaultObserverInterval is the observer coalescing cadence when the
-// config leaves it zero.
+// defaultObserverInterval is the longest unprompted spacing between
+// observer flushes when the config leaves it zero.
 const defaultObserverInterval = 25 * time.Millisecond
 
 // defaultFanoutWorkers resolves FanoutWorkers = 0.
@@ -90,52 +101,76 @@ func (rl *relay) publish(fb *FrameBuf) {
 		if w.in.push(fb) {
 			coalesced++
 		}
-		select {
-		case w.ready <- struct{}{}:
-		default:
-		}
 	}
+	rl.wake()
 	rl.s.statRelayPublished.Add(1)
 	if coalesced > 0 {
 		rl.s.statRelayCoalesced.Add(coalesced)
 	}
 }
 
-// run is the worker loop: drain the input ring on each wakeup, deliver into
-// observer rings, and wake observer writers — immediately when the
-// coalescing interval is disabled (negative), else on the ticker cadence so
-// each observer's ring accumulates a freshest-wins batch between flushes.
+// wake leaves every worker its wakeup token: a frame sits in its input
+// ring, or fanout queued control toward observers and left their writers'
+// wakeup to the flush policy.
+//
+//steer:hotpath
+func (rl *relay) wake() {
+	for _, w := range rl.workers {
+		select {
+		case w.ready <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// run is the worker loop. Each wakeup drains the input ring into observer
+// rings; what was delivered — and any control fanout queued meanwhile — is
+// then held until the flush policy in the file header releases it. The
+// timer is armed only while something is held, so an idle session's workers
+// sleep.
 func (w *relayWorker) run() {
 	interval := w.s.cfg.ObserverInterval
-	var tickC <-chan time.Time
-	if interval > 0 {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		tickC = tick.C
-	}
-	var frames []*FrameBuf
-	dirty := false
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	var (
+		frames []*FrameBuf
+		armed  bool      // timer running; its channel is empty otherwise
+		held   bool      // observers may have output queued since the last flush
+		last   time.Time // the last flush that woke a writer
+	)
 	for {
+		push := false
 		select {
 		case <-w.ready:
 			frames = w.in.drainInto(frames[:0], 0)
-			if len(frames) == 0 {
-				continue
-			}
-			w.deliver(frames)
-			if tickC == nil {
-				w.notify()
-			} else {
-				dirty = true
-			}
-		case <-tickC:
-			if dirty {
-				w.notify()
-				dirty = false
-			}
+			push = w.deliver(frames)
+			held = true
+		case <-timer.C:
+			armed = false
 		case <-w.s.closeCh:
 			w.in.closeRelease()
 			return
+		}
+		if !held {
+			continue
+		}
+		now := time.Now()
+		if wait := last.Add(interval).Sub(now); wait > 0 && !push {
+			if !armed {
+				timer.Reset(wait)
+				armed = true
+			}
+			continue
+		}
+		held = false
+		if w.notify() {
+			// A push flush restarts the window too; a timer still armed
+			// for the old one fires early and re-arms.
+			last = now
+			if push {
+				w.s.statRelayPushed.Add(1)
+			}
 		}
 	}
 }
@@ -144,10 +179,17 @@ func (w *relayWorker) run() {
 // the observer snapshot, interest-filtered per client. The batch references
 // belong to the worker and are released here; each ring push retains its
 // own. The snapshot is loaded per batch: a client dropped since the frame
-// was published has closed rings, which discard.
+// was published has closed rings, which discard. It reports whether the
+// batch held a push-stamped frame.
 //
 //steer:hotpath
-func (w *relayWorker) deliver(frames []*FrameBuf) {
+func (w *relayWorker) deliver(frames []*FrameBuf) (push bool) {
+	if len(frames) == 0 {
+		return false // woken for queued control only
+	}
+	for _, fb := range frames {
+		push = push || fb.push
+	}
 	obs := *w.s.obsView.Load()
 	var delivered, dropped, filtered uint64
 	for i := w.idx; i < len(obs); i += w.n {
@@ -178,17 +220,21 @@ func (w *relayWorker) deliver(frames []*FrameBuf) {
 	if filtered > 0 {
 		w.s.statFramesFiltered.Add(filtered)
 	}
+	return push
 }
 
 // notify wakes the writers of this worker's observers that have queued
-// output. Runs on the coalescing cadence, so its cost — one snapshot walk
-// per tick — is paid per interval, not per frame.
-func (w *relayWorker) notify() {
+// output — samples, or control whose wakeup fanout deferred — and reports
+// whether it woke any. Runs once per flush, so its cost — one snapshot walk
+// — is paid per interval or per steer, not per frame.
+func (w *relayWorker) notify() (woken bool) {
 	obs := *w.s.obsView.Load()
 	for i := w.idx; i < len(obs); i += w.n {
 		cc := obs[i]
-		if cc.out.length() > 0 {
+		if cc.out.length() > 0 || cc.ctrl.length() > 0 {
 			w.s.notifyWriter(cc)
+			woken = true
 		}
 	}
+	return woken
 }

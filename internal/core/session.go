@@ -44,12 +44,18 @@ type SessionConfig struct {
 	// relay.go); they start lazily on the first TierObserver attach. 0
 	// selects min(4, GOMAXPROCS); negative forces a single worker.
 	FanoutWorkers int
-	// ObserverInterval is the observer-tier coalescing cadence: relay
-	// workers deliver continuously, but an observer's writer is woken only
-	// this often, so its ring coalesces to freshest-wins batches between
-	// flushes. 0 selects 25ms; negative disables coalescing (observers are
-	// flushed per frame, like the steering tier but off the session
-	// goroutine).
+	// ObserverInterval is the longest unprompted spacing between
+	// observer-tier flushes: relay workers deliver continuously, but wake an
+	// observer's writer at most once per interval, so under a dense stream
+	// its ring coalesces to freshest-wins batches. It is a rate limit, not a
+	// delay — a frame arriving an interval or more after the last flush
+	// leaves at once, and steer-caused frames are not held (see relay.go).
+	// Parameter updates toward observers are subject to it as well: one
+	// with no sample behind it (a paused or rarely emitting application)
+	// leaves under the same limit, so an observer's parameter view can be
+	// up to one interval stale.
+	// 0 selects 25ms; negative disables coalescing (observers are flushed
+	// per frame, like the steering tier but off the session goroutine).
 	ObserverInterval time.Duration
 	// CoalesceBytes is the vectored egress hybrid threshold: when a batch
 	// takes the writev path, frames shorter than this are gathered
@@ -126,6 +132,14 @@ type Session struct {
 	// observer admit (ensureRelayLocked) and loaded lock-free by fanout.
 	relay atomic.Pointer[relay]
 
+	// steerEpoch counts applied steering batches; pushedSample/pushedBlob
+	// are the epochs the last push-stamped frame of each class carried. A
+	// broadcast that finds its class behind the epoch is the first since a
+	// steer and is stamped FrameBuf.push (stampPush).
+	steerEpoch   atomic.Uint64
+	pushedSample atomic.Uint64
+	pushedBlob   atomic.Uint64
+
 	// application-side state
 	pending           chan pendingOp // steering ops awaiting the next poll
 	paused            bool
@@ -147,6 +161,9 @@ type Session struct {
 	// and frames its input rings coalesced away before fan-out.
 	statRelayPublished atomic.Uint64
 	statRelayCoalesced atomic.Uint64
+	// statRelayPushed counts relay-worker flushes a push-stamped frame
+	// caused ahead of the interval.
+	statRelayPushed atomic.Uint64
 	// statBlobsEmitted/statBlobBytes count blob-class broadcasts and their
 	// payload bytes (deliveries and drops share the sample counters — the
 	// tiers make no distinction past the proto gate).
@@ -176,9 +193,14 @@ type Stats struct {
 	FramesFiltered uint64
 	// RelayPublished counts sample frames handed to the observer relay
 	// pool; RelayCoalesced counts frames its input rings overwrote before
-	// fan-out (freshest-wins under overload).
+	// fan-out (freshest-wins under overload). RelayPushed counts push
+	// flushes: a relay worker waking its observers' writers ahead of
+	// ObserverInterval because a steer's first frame arrived — one per
+	// worker with something to flush, however many observers it woke; the
+	// rest of the observer tier's flushes were interval flushes.
 	RelayPublished uint64
 	RelayCoalesced uint64
+	RelayPushed    uint64
 	// BlobsEmitted/BlobBytes count blob-class broadcasts (protocol v5 bulk
 	// frames) and their payload bytes; their deliveries and drops share
 	// SamplesDelivered/SamplesDropped.
@@ -405,6 +427,7 @@ func (s *Session) Stats() Stats {
 		FramesFiltered:   s.statFramesFiltered.Load(),
 		RelayPublished:   s.statRelayPublished.Load(),
 		RelayCoalesced:   s.statRelayCoalesced.Load(),
+		RelayPushed:      s.statRelayPushed.Load(),
 		BlobsEmitted:     s.statBlobsEmitted.Load(),
 		BlobBytes:        s.statBlobBytes.Load(),
 
@@ -521,10 +544,11 @@ type PendingConn struct {
 }
 
 // AcceptConn reads and version-checks the attach frame from conn. A stream
-// outside the supported protocol range (v3..v4) — wrong magic (a gob v1
-// client, an HTTP probe) or an unsupported header version — is answered
-// with a version-coded ack when possible and fails with ErrVersionMismatch. Callers that must bound the
-// handshake set a read deadline on conn first (and clear it afterwards).
+// outside the supported protocol range (minProtoVersion..ProtoVersion,
+// v3..v5) — wrong magic (a gob v1 client, an HTTP probe) or an unsupported
+// header version — is answered with a version-coded ack when possible and
+// fails with ErrVersionMismatch. Callers that must bound the handshake set
+// a read deadline on conn first (and clear it afterwards).
 func AcceptConn(conn net.Conn) (*PendingConn, error) {
 	c := newCodec(conn)
 	c.harden()
@@ -1117,19 +1141,34 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 		}
 	}
 	if ctrl {
-		// Control frames go to every tier inline — they are small, rare and
-		// latency-sensitive (acks of state the client may act on). A keyed
-		// frame (param update) still honours interest; keyless control goes
-		// to everyone.
+		// Control frames are queued to every tier inline — they are small,
+		// rare and lossless, and their order is the order of these pushes. A
+		// keyed frame (param update) still honours interest; keyless control
+		// goes to everyone. Writers are woken inline too, except a param
+		// update toward the observer tier: the relay workers own that
+		// wakeup, so the update leaves in one batch with the pushed sample
+		// that follows the steer (within ObserverInterval if none does) and
+		// the simulation goroutine pays no per-observer wakeup per steer.
 		clients := *s.clientsView.Load()
+		keyed := len(fb.keys) > 0
+		rl := s.relay.Load()
 		var filtered uint64
+		deferred := false
 		for _, cc := range clients {
-			if len(fb.keys) > 0 && !cc.desc.Load().wantsParams(fb.keys) {
+			d := cc.desc.Load()
+			if keyed && !d.wantsParams(fb.keys) {
 				filtered++
 				continue
 			}
 			s.routeCtrl(cc, fb)
+			if keyed && rl != nil && d.tierOf() == TierObserver {
+				deferred = true
+				continue
+			}
 			s.notifyWriter(cc)
+		}
+		if deferred {
+			rl.wake()
 		}
 		if filtered > 0 {
 			s.statFramesFiltered.Add(filtered)
@@ -1218,6 +1257,17 @@ func (s *Session) notifyWriter(cc *clientConn) {
 	}
 }
 
+// stampPush marks fb as steer-caused when it is the first frame of its
+// class (pushed is that class's epoch) since a steer applied.
+//
+//steer:hotpath
+func (s *Session) stampPush(fb *FrameBuf, pushed *atomic.Uint64) {
+	if ep := s.steerEpoch.Load(); ep != pushed.Load() {
+		pushed.Store(ep)
+		fb.push = true
+	}
+}
+
 // broadcastSample fans a sample out to all clients, serializing it exactly
 // once into a pooled buffer: every client ring (and every batched writer
 // behind DrainBatch) holds a reference to the same bytes, so fan-out cost
@@ -1250,6 +1300,7 @@ func (s *Session) broadcastSample(sample *Sample) {
 	for name := range sample.Channels {
 		fb.appendKey(name)
 	}
+	s.stampPush(fb, &s.pushedSample)
 	if s.fanout(JournalSample, fb, false) {
 		s.statSamplesEmitted.Add(1)
 		s.lastSample.Store(sample)
@@ -1282,6 +1333,7 @@ func (s *Session) broadcastBlob(b *Blob) {
 	if b.Stream != "" {
 		fb.appendKey(b.Stream)
 	}
+	s.stampPush(fb, &s.pushedBlob)
 	if s.fanout(JournalBlob, fb, false) {
 		s.statBlobsEmitted.Add(1)
 		s.statBlobBytes.Add(uint64(len(b.Data)))

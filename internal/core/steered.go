@@ -182,6 +182,9 @@ func (st *Steered) applyOp(op pendingOp) {
 			return
 		}
 		s.statSteersApplied.Add(uint64(len(updated)))
+		// The next sample and the next blob carry this steer's effect:
+		// stampPush marks them so observers are not made to wait for it.
+		s.steerEpoch.Add(1)
 		s.broadcastControl(&envelope{Type: msgParamUpdate, Params: updated})
 		return
 	}

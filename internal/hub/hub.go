@@ -124,12 +124,14 @@ type Stats struct {
 	// Delivery-tier aggregates: how the connected clients split across the
 	// steering and observer tiers, frames skipped by interest filtering,
 	// and relay-worker activity (publishes onto the worker rings, frames
-	// coalesced away under backlog).
+	// coalesced away under backlog, observer flushes a steer pushed through
+	// ahead of the interval).
 	TierSteerers   int
 	TierObservers  int
 	FramesFiltered uint64
 	RelayPublished uint64
 	RelayCoalesced uint64
+	RelayPushed    uint64
 
 	// Vectored-egress aggregates across every hosted session: batches by
 	// path taken (writev vs the buffered fallback), small frames and bytes
@@ -532,6 +534,7 @@ func (h *Hub) Stats() Stats {
 			st.FramesFiltered += s.FramesFiltered
 			st.RelayPublished += s.RelayPublished
 			st.RelayCoalesced += s.RelayCoalesced
+			st.RelayPushed += s.RelayPushed
 			st.EgressBatchesVectored += s.EgressBatchesVectored
 			st.EgressBatchesBuffered += s.EgressBatchesBuffered
 			st.EgressFramesCoalesced += s.EgressFramesCoalesced

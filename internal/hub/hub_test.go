@@ -517,3 +517,66 @@ func TestHubFloorDefaultsRespectExplicitValues(t *testing.T) {
 		t.Fatalf("lease-disabled session expired its master: %+v", fs)
 	}
 }
+
+// TestObserverSeesSteerAheadOfInterval is the push-through property over
+// real sockets and the pooled writers: with a 500ms observer interval and a
+// dense sample stream, an observer-tier client still sees each steer's
+// echo on the sample stream well inside the interval.
+func TestObserverSeesSteerAheadOfInterval(t *testing.T) {
+	h, addr := testHub(t, Config{Shards: 1})
+	sess, err := h.CreateSession(core.SessionConfig{Name: "s", ObserverInterval: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sess.Steered()
+	var echo float64 // simulation goroutine only
+	dirty := false
+	if err := st.RegisterFloat("echo", 0, 0, 1e6, "", func(v float64) { echo, dirty = v, true }); err != nil {
+		t.Fatal(err)
+	}
+	master := dialSession(t, addr, core.AttachOptions{Session: "s", Name: "master", WantMaster: true})
+	obs := dialSession(t, addr, core.AttachOptions{Session: "s", Name: "obs", Tier: core.TierObserver,
+		Subscriptions: []core.Subscription{core.ChannelSub("echo")}})
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() { // the simulation: poll every step, emit every tenth and after a steer
+		defer close(done)
+		for step := int64(1); ; step++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st.Poll()
+			if dirty || step%10 == 0 {
+				s := core.NewSample(step)
+				s.Channels["echo"] = core.Scalar(echo)
+				st.Emit(s)
+				dirty = false
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	for v := 1.0; v <= 4; v++ {
+		t0 := time.Now()
+		if err := master.SetParamContext(context.Background(), "echo", v); err != nil {
+			t.Fatal(err)
+		}
+		for seen := false; !seen; {
+			select {
+			case s := <-obs.Samples():
+				seen = s.Channels["echo"].Value() == v
+			case <-time.After(2 * time.Second):
+				t.Fatalf("observer never saw echo = %v", v)
+			}
+		}
+		if took := time.Since(t0); took >= 250*time.Millisecond {
+			t.Fatalf("observer saw echo = %v after %v, want under half the 500ms interval", v, took)
+		}
+	}
+	if h.Stats().RelayPushed == 0 {
+		t.Fatal("hub stats count no pushed observer flush")
+	}
+}

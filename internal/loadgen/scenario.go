@@ -77,8 +77,9 @@ type Scenario struct {
 	// one observer per session is always interested so steer→observe keeps
 	// recording.
 	ObserverInterest float64 `json:"observer_interest,omitempty"`
-	// ObserverInterval sets the in-process sessions' observer coalescing
-	// cadence (0 keeps core's default, negative flushes immediately).
+	// ObserverInterval sets the in-process sessions' longest unprompted
+	// spacing between observer flushes (0 keeps core's default, negative
+	// flushes every frame).
 	ObserverInterval time.Duration `json:"observer_interval_ns,omitempty"`
 	// FanoutWorkers sizes the in-process sessions' relay pool (0 = auto).
 	FanoutWorkers int `json:"fanout_workers,omitempty"`
