@@ -58,11 +58,13 @@ build:
 test:
 	$(GO) test ./...
 
-# test-framedebug re-runs the packages that enforce the FrameBuf lifetime
-# rules with poison-on-release compiled in: a read past the last Release
-# fails deterministically instead of racing the pool's next user.
+# test-framedebug re-runs the packages that enforce buffer lifetime rules
+# with poisoning compiled in: a FrameBuf read past its last Release, or a
+# pixel.Tile's Pix kept past the DecodeTiles callback that lent it, fails
+# deterministically instead of racing the pool's next user.
 test-framedebug:
-	$(GO) test -tags framedebug ./internal/core ./internal/journal
+	$(GO) test -tags framedebug ./internal/core ./internal/journal \
+		./internal/pixel ./internal/vnc ./internal/vizserver
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -112,6 +114,9 @@ bench-smoke:
 	@out=$$($(GO) test -run '^$$' -list 'BenchmarkE12_CollaborationScaling' .); \
 	echo "$$out" | grep -q BenchmarkE12_CollaborationScaling \
 		|| { echo 'bench-smoke: E12 live-hub collaboration benchmark missing'; exit 1; }
+	@out=$$($(GO) test -run '^$$' -list 'BenchmarkTileCodec' ./internal/pixel); \
+	echo "$$out" | grep -q BenchmarkTileCodec \
+		|| { echo 'bench-smoke: pixel tile codec benchmark missing'; exit 1; }
 
 # bench-compare re-measures the benchmarks recorded in the committed
 # baselines and prints benchstat-style delta tables (cmd/benchcompare is
@@ -145,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wire || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeRoundTrip -fuzztime $(FUZZTIME) ./internal/core || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzFloorFrames -fuzztime $(FUZZTIME) ./internal/core || status=1; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTiles -fuzztime $(FUZZTIME) ./internal/pixel || status=1; \
 	exit $$status
 
 # soak drives the steerload harness against an in-process hub over real

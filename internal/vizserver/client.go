@@ -25,6 +25,7 @@ type Client struct {
 	mu       sync.Mutex
 	w, h     int
 	pix      []byte
+	spare    []byte // the frame before pix; the next one decodes into it
 	anchor   pixel.Anchor
 	frameSeq uint64
 	frames   uint64
@@ -100,9 +101,9 @@ func (c *Client) apply(b *core.Blob) {
 	var err error
 	switch b.Encoding {
 	case pixel.EncKey:
-		next, err = pixel.DecodeKey(b.Data, size)
+		next, err = pixel.DecodeKeyInto(c.spare, b.Data, size)
 	case pixel.EncDelta:
-		next, err = pixel.DecodeDelta(c.pix, b.Data, size)
+		next, err = pixel.DecodeDeltaInto(c.spare, c.pix, b.Data, size)
 	default:
 		err = fmt.Errorf("vizserver: unknown frame encoding %d", b.Encoding)
 	}
@@ -111,7 +112,7 @@ func (c *Client) apply(b *core.Blob) {
 		return
 	}
 	c.w, c.h = b.Width, b.Height
-	c.pix = next
+	c.pix, c.spare = next, c.pix
 	c.frameSeq = b.Seq
 	c.frames++
 	c.rxBytes += uint64(len(b.Data))

@@ -61,6 +61,9 @@ type Server struct {
 	own     bool // the server created (and must close) the session
 
 	renderMu sync.Mutex // serialises render+publish so blob seqs stay ordered
+	// Reused across frames under renderMu (EmitBlob copies the payload into
+	// its frame): the frame before prevPix, and the encoded payload.
+	sparePix, encBuf []byte
 
 	mu      sync.Mutex
 	cam     render.Camera
@@ -237,7 +240,7 @@ func (s *Server) RenderBroadcast() uint32 {
 
 	// Render outside the lock: it is the expensive part.
 	render.Render(s.fb, cam, scene)
-	pix := append([]byte(nil), s.fb.Pix...)
+	pix := append(s.sparePix[:0], s.fb.Pix...)
 	sum := s.fb.Checksum()
 
 	viewers := s.session.ClientCount()
@@ -251,17 +254,18 @@ func (s *Server) RenderBroadcast() uint32 {
 
 	enc, data := pixel.EncKey, []byte(nil)
 	if !key && prev != nil {
-		if d, err := pixel.EncodeDelta(prev, pix); err == nil {
+		if d, err := pixel.AppendDelta(s.encBuf[:0], prev, pix); err == nil {
 			enc, data = pixel.EncDelta, d
 		}
 	}
-	if data == nil {
-		data = pixel.EncodeKey(pix)
+	if enc == pixel.EncKey {
+		data = pixel.AppendKey(s.encBuf[:0], pix)
 	}
 	s.st.EmitBlob(&core.Blob{
 		Stream: PixelStream, Seq: seq, Encoding: enc,
 		Width: s.cfg.Width, Height: s.cfg.Height, Data: data,
 	})
+	s.sparePix, s.encBuf = prev, data
 
 	s.mu.Lock()
 	s.stats.BytesSent += uint64(len(data)) * uint64(viewers)

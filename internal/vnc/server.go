@@ -148,7 +148,7 @@ func (s *Server) sendFullFrame(v *viewer, pix []byte, seq int32) error {
 // sendTile encodes and ships one tile.
 func (s *Server) sendTile(v *viewer, pix []byte, tx, ty int, seq int32) error {
 	x, y, tw, th := tileRect(tx, ty, s.w, s.h)
-	raw := extractTile(pix, s.w, x, y, tw, th)
+	raw := extractTile(nil, pix, s.w, x, y, tw, th)
 	enc, data := compressTile(raw)
 
 	v.emu.Lock()

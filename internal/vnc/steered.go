@@ -32,6 +32,9 @@ type Publisher struct {
 	current []byte // last published framebuffer (RGBA)
 	rekey   pixel.Rekeyer
 	stats   PublisherStats
+	// Reused across updates (EmitBlob copies the payload into its frame):
+	// the framebuffer before current, one tile's pixels, the tile payload.
+	spare, tile, payload []byte
 }
 
 // PublisherStats counts hub-tier publish activity.
@@ -68,13 +71,14 @@ func (p *Publisher) Update(pix []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	prev := p.current
-	p.current = append([]byte(nil), pix...)
+	p.current = append(p.spare[:0], pix...)
+	p.spare = prev
 	seq, key := p.rekey.Next(p.session.ClientCount())
 
 	tilesX := (p.w + TileSize - 1) / TileSize
 	tilesY := (p.h + TileSize - 1) / TileSize
 	dirty := 0
-	var payload []byte
+	payload := p.payload[:0]
 	var err error
 	for ty := 0; ty < tilesY; ty++ {
 		for tx := 0; tx < tilesX; tx++ {
@@ -86,10 +90,8 @@ func (p *Publisher) Update(pix []byte) (int, error) {
 			if !isDirty && !key {
 				continue
 			}
-			payload, err = pixel.AppendTile(payload, pixel.Tile{
-				X: x, Y: y, W: tw, H: th,
-				Pix: extractTile(pix, p.w, x, y, tw, th),
-			})
+			p.tile = extractTile(p.tile, pix, p.w, x, y, tw, th)
+			payload, err = pixel.AppendTile(payload, pixel.Tile{X: x, Y: y, W: tw, H: th, Pix: p.tile})
 			if err != nil {
 				return dirty, err
 			}
@@ -106,6 +108,7 @@ func (p *Publisher) Update(pix []byte) (int, error) {
 		Stream: DesktopStream, Seq: seq, Encoding: pixel.EncTiles,
 		Width: p.w, Height: p.h, Flags: flags, Data: payload,
 	})
+	p.payload = payload
 	p.stats.Updates++
 	p.stats.BytesSent += uint64(len(payload))
 	return dirty, nil

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hub"
+	"repro/internal/pixel"
 )
 
 // startHubDesktop stands up a hub-hosted desktop publisher with n viewers
@@ -170,5 +171,49 @@ func TestHubDesktopBadFramebufferSize(t *testing.T) {
 	}
 	if _, err := NewPublisher(session, 0, 32); err == nil {
 		t.Fatal("zero width accepted")
+	}
+}
+
+// TestViewerSurvivesHostileTiles: a tile blob is outside input. One that
+// declares a 17 GB tile in a 17-byte record, or places a tile outside the
+// framebuffer, is dropped — the viewer holds its last good frame and
+// re-anchors on the next full update — instead of taking the process down.
+func TestViewerSurvivesHostileTiles(t *testing.T) {
+	const side = 32
+	frame := func(data []byte, seq uint64, flags int64) *core.Blob {
+		return &core.Blob{
+			Stream: DesktopStream, Seq: seq, Encoding: pixel.EncTiles,
+			Width: side, Height: side, Flags: flags, Data: data,
+		}
+	}
+	tile := func(x, y int) []byte {
+		buf, err := pixel.AppendTile(nil, pixel.Tile{X: x, Y: y, W: TileSize, H: TileSize, Pix: make([]byte, TileSize*TileSize*4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	huge := make([]byte, 17)
+	huge[0] = 1 // flate
+	copy(huge[9:13], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+
+	v := new(Viewer)
+	v.apply(frame(tile(0, 0), 1, pixel.FlagKey))
+	if v.Frames() != 1 {
+		t.Fatal("good keyframe not applied")
+	}
+	for i, bad := range [][]byte{huge, tile(side, 0), tile(0, side-1), tile(1<<31, 1<<31)} {
+		v.apply(frame(bad, uint64(2+i), pixel.FlagKey))
+		if v.Frames() != 1 {
+			t.Fatalf("hostile update %d counted as a decoded frame", i)
+		}
+	}
+	v.apply(frame(tile(TileSize, TileSize), 6, 0))
+	if v.Frames() != 1 {
+		t.Fatal("partial update applied while unanchored")
+	}
+	v.apply(frame(tile(TileSize, TileSize), 7, pixel.FlagKey))
+	if v.Frames() != 2 {
+		t.Fatal("full update did not re-anchor the viewer")
 	}
 }

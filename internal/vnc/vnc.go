@@ -109,20 +109,26 @@ func tileRect(tx, ty, w, h int) (x, y, tw, th int) {
 	return x, y, tw, th
 }
 
-// extractTile copies a tile's pixels out of a framebuffer.
-func extractTile(pix []byte, w, x, y, tw, th int) []byte {
-	out := make([]byte, tw*th*4)
+// extractTile copies a tile's pixels out of a framebuffer, into dst's
+// capacity when it suffices.
+func extractTile(dst, pix []byte, w, x, y, tw, th int) []byte {
+	dst = dst[:0]
 	for row := 0; row < th; row++ {
 		src := ((y+row)*w + x) * 4
-		copy(out[row*tw*4:(row+1)*tw*4], pix[src:src+tw*4])
+		dst = append(dst, pix[src:src+tw*4]...)
 	}
-	return out
+	return dst
 }
 
 // applyTile writes a tile's pixels into a framebuffer.
 func applyTile(pix []byte, w int, x, y, tw, th int, data []byte) error {
 	if len(data) != tw*th*4 {
 		return fmt.Errorf("vnc: tile payload %d bytes, want %d", len(data), tw*th*4)
+	}
+	// The rectangle comes off the wire: one outside the framebuffer is the
+	// sender's error, not an index to trust.
+	if x < 0 || y < 0 || tw < 0 || th < 0 || x+tw > w || (y+th)*w*4 > len(pix) {
+		return fmt.Errorf("vnc: tile %dx%d at (%d,%d) outside the framebuffer", tw, th, x, y)
 	}
 	for row := 0; row < th; row++ {
 		dst := ((y+row)*w + x) * 4

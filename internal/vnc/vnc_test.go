@@ -249,7 +249,7 @@ func TestQuickTileRoundTrip(t *testing.T) {
 		for ty := 0; ty < tilesY; ty++ {
 			for tx := 0; tx < tilesX; tx++ {
 				x, y, tw, th := tileRect(tx, ty, w, h)
-				raw := extractTile(pix, w, x, y, tw, th)
+				raw := extractTile(nil, pix, w, x, y, tw, th)
 				enc, data := compressTile(raw)
 				dec, err := decompressTile(enc, data, tw*th*4)
 				if err != nil {
