@@ -98,13 +98,17 @@ cover:
 # fails the build without paying for a full measurement run. The final step
 # asserts the journal benchmarks still exist by name (`-bench` with a
 # non-matching pattern exits 0, so the sweep alone would not notice the
-# durability subsystem's benches being renamed away).
+# durability subsystem's benches being renamed away). `-list` sees only
+# top-level benchmarks, so the pooled journal tap leg is run by name.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	@out=$$($(GO) test -run '^$$' -list 'Benchmark(JournalAppend|CatchupReplay)' ./internal/journal); \
 	echo "$$out" | grep -q BenchmarkJournalAppend && echo "$$out" | grep -q BenchmarkCatchupReplay \
 		|| { echo 'bench-smoke: journal benchmarks missing'; exit 1; }
+	@out=$$($(GO) test -run '^$$' -bench 'JournalAppend/pooled' -benchtime 1x ./internal/journal); \
+	echo "$$out" | grep -q 'BenchmarkJournalAppend/pooled' \
+		|| { echo 'bench-smoke: pooled journal tap benchmark missing'; exit 1; }
 	@out=$$($(GO) test -run '^$$' -list 'Benchmark(BroadcastHotPath|BroadcastContention|BroadcastInterest|EgressWritev)' ./internal/core); \
 	echo "$$out" | grep -q BenchmarkBroadcastHotPath && echo "$$out" | grep -q 'BenchmarkBroadcastContention$$' \
 		&& echo "$$out" | grep -q BenchmarkBroadcastContention1k \

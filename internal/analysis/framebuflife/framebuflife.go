@@ -18,7 +18,7 @@
 // delta must be zero. //steer:consumes declares the function discharges
 // exactly one caller reference per path (Session.fanout). //steer:owns
 // declares the function or interface method stores retained references and
-// manages its own release path (frameRing.push, JournalSink.Record). A call
+// manages its own release path (frameRing.push, clientConn.stashCtrl). A call
 // returning *FrameBuf transfers one owned reference to the caller, which
 // must be released, stored under //steer:owns, or returned onward.
 //

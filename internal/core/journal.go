@@ -49,26 +49,20 @@ const (
 //
 // Record receives the broadcast's refcounted buffer — the same one sitting
 // in client queues, so durability never re-encodes. The caller's reference
-// is live only for the duration of the call: a sink that keeps the frame
-// past return must Retain the buffer (once per reference it keeps, e.g.
-// one for its replay mirror and one for a pending fsync batch) before
-// returning, and Release each reference when done. Record must not block
-// and must never mutate the bytes.
+// is live only for the duration of the call: Record copies what it keeps
+// into memory the sink owns and keeps no reference to the buffer, which
+// therefore returns to the frame pool on its last fan-out release. Record
+// must not block and must never mutate the bytes.
 //
 // Replay visits recorded frames oldest first until visit returns false.
-// The frame bytes are valid only during the visit: a caller that keeps a
-// frame past its visit must copy it, because the sink may recycle a
-// compacted-away record's buffer.
+// Replayed frames are immutable: the sink never rewrites them, so the
+// caller may keep them past the visit without copying.
 //
 // The session serialises Record against Replay on its attach barrier, so a
 // frame is seen exactly once by an attaching client: in the replay, or in
 // its live queue — never both.
 type JournalSink interface {
-	// Record appends one broadcast frame. The sink takes shared ownership:
-	// it retains the references it stores (mirror, pending disk batch) and
-	// releases them from its own maintenance path.
-	//
-	//steer:owns
+	// Record appends one broadcast frame, copying what the sink keeps.
 	Record(class JournalClass, frame *FrameBuf)
 	Replay(visit func(class JournalClass, frame []byte) bool)
 }

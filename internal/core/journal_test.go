@@ -21,8 +21,7 @@ type memSink struct {
 
 func (m *memSink) Record(class JournalClass, frame *FrameBuf) {
 	// The caller's buffer reference is live only for the call, so the sink
-	// copies (the durable implementation retains instead; both honour the
-	// contract).
+	// copies, as the durable implementation does.
 	m.mu.Lock()
 	m.recs = append(m.recs, struct {
 		class JournalClass

@@ -775,11 +775,9 @@ func (s *Session) admitWithCatchup(a *attachMsg, c *codec) (*clientConn, [][]byt
 	if a.Replay != ReplayNone {
 		s.cfg.Journal.Replay(func(class JournalClass, frame []byte) bool {
 			if class == JournalEvent || (class == JournalSample && a.Replay == ReplayAll) {
-				// Replay frames are valid only during the visit (the sink may
-				// recycle a compacted record's pooled buffer); the catch-up is
-				// written after this returns, so it takes copies. Attach is the
-				// cold path — the broadcast side stays copy-free.
-				catchup = append(catchup, append([]byte(nil), frame...))
+				// Replay frames are immutable sink memory (JournalSink), so
+				// the catch-up written after this returns keeps the slices.
+				catchup = append(catchup, frame)
 			}
 			return true
 		})
@@ -1117,10 +1115,10 @@ func (s *Session) broadcastControl(e *envelope) {
 // pool, every queue is a ring whose eviction is an O(1) slot overwrite, and
 // the counters are atomics. Only a journaled session takes the shared
 // (read) side of the attach barrier, which the journal's exactly-once
-// catch-up semantics require; the journal tap itself is an in-memory append
-// of the same refcounted buffer — durability never re-encodes, and the
-// buffer cannot return to the pool before the journal's fsync batch
-// flushes (the sink retains it).
+// catch-up semantics require; the journal tap itself is an in-memory copy
+// of the same encoded bytes — durability never re-encodes, and the sink
+// keeps no reference, so the buffer returns to the pool on its last
+// fan-out release (see JournalSink).
 //
 //steer:hotpath
 //steer:consumes

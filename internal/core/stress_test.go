@@ -158,11 +158,11 @@ func TestBroadcastStressAttachDetach(t *testing.T) {
 }
 
 // TestBroadcastStressJournaled repeats a smaller storm on a journaled
-// session: the attach barrier, the journal tap's retained buffers and the
-// pre-welcome stash path all run under -race while late joiners attach
-// mid-storm. Every surviving client must converge on the full event
-// history, duplicate-free (the exactly-once guarantee, now with the replay
-// copying frames out of the recycled mirror).
+// session: the attach barrier, the journal tap and the pre-welcome stash
+// path all run under -race while late joiners attach mid-storm. Every
+// surviving client must converge on the full event history, duplicate-free
+// (the exactly-once guarantee, with catch-up keeping the replayed frames
+// themselves).
 func TestBroadcastStressJournaled(t *testing.T) {
 	sink := &memSink{}
 	s, dial := testSession(t, SessionConfig{Journal: sink, SampleQueue: 8})

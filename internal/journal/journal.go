@@ -14,15 +14,20 @@
 // discards everything before the latest compaction barrier.
 //
 // A Journal keeps an in-memory mirror of the replayable records, so Replay
-// (the attach catch-up path) never touches disk. Record is memory-only and
-// copy-free: it retains the broadcast's refcounted buffer (core.FrameBuf)
-// once for the mirror and once for a pending batch. All disk I/O — framing
-// the batch, writes, fsync, segment rotation, compaction — happens on the
-// maintenance path under a separate I/O lock, so the broadcast hot path
-// never waits behind the disk; batch references release only after the
-// flush (and fsync) lands, mirror references when compaction drops the
-// record. A Syncer (one per hub shard) sweeps the maintenance for every
-// journal it watches; without one, Record runs the maintenance inline.
+// (the attach catch-up path) never touches disk. Record is memory-only: it
+// copies the broadcast frame into an append-only arena of fixed-size chunks
+// the journal owns, and that one copy serves both the mirror and the
+// pending disk batch. No reference to the caller's refcounted buffer
+// (core.FrameBuf) is kept, so the buffer returns to the frame pool on its
+// last fan-out release. Arena bytes are never rewritten: Replay hands out
+// the mirrored slices themselves and a caller may keep them, because the
+// garbage collector keeps a chunk alive while any slice refers to it.
+// Compaction frees memory by copying its survivors into fresh chunks and
+// dropping the old ones. All disk I/O — framing the batch, writes, fsync,
+// segment rotation, compaction — happens on the maintenance path under a
+// separate I/O lock, so the broadcast hot path never waits behind the disk.
+// A Syncer (one per hub shard) sweeps the maintenance for every journal it
+// watches; without one, Record runs the maintenance inline.
 package journal
 
 import (
@@ -73,8 +78,13 @@ type Options struct {
 	// CompactRecords triggers compaction when the replay mirror exceeds
 	// this many records; 0 selects 4096. Compaction needs Snapshot.
 	CompactRecords int
-	// CompactBytes triggers compaction when the mirror exceeds this many
-	// payload bytes; 0 selects 4 MiB.
+	// CompactBytes triggers compaction when the mirror's arena memory
+	// exceeds this many bytes; 0 selects 4 MiB. It bounds what the mirror
+	// holds: the arena bytes of the records since the last fold (at most
+	// CompactBytes plus what arrives before the maintenance runs), the
+	// fold's survivors, and at most two 64 KiB chunks of slack — the chunk
+	// being filled, and the one records that arrived during the last fold
+	// still share with dropped ones.
 	CompactBytes int
 	// RetainEvents is how many trailing event frames survive compaction;
 	// 0 selects 128.
@@ -101,36 +111,52 @@ func (o *Options) fill() {
 	}
 }
 
-// record is one mirrored log entry. fb is non-nil while frame aliases a
-// refcounted broadcast buffer the journal retained: the mirror holds one
-// reference for as long as the record is replayable (released when
-// compaction drops the record), and the pending fsync batch holds its own
-// (released once the flush lands). Recovered and compaction-minted records
-// own plain heap bytes and carry a nil fb.
+// record is one mirrored log entry. frame is journal-owned memory — arena
+// bytes, or a snapshot frame the provider handed over — and is never
+// rewritten.
 type record struct {
 	class byte
 	frame []byte
-	fb    *core.FrameBuf
 }
 
-// retain bumps the record's buffer reference, if it has one.
-func (r *record) retain() {
-	if r.fb != nil {
-		r.fb.Retain()
-	}
+// arenaChunk is the size of one mirror arena chunk: a couple of hundred
+// sample-sized records per allocation.
+const arenaChunk = 64 << 10
+
+// arena is the append-only memory the mirror copies frames into. Bytes it
+// has handed out are never rewritten, so a mirrored slice reads the same for
+// as long as anything refers to it.
+type arena struct {
+	chunk []byte // the chunk being filled; len is its used prefix
 }
 
-// release drops the record's buffer reference, if it has one.
-func (r *record) release() {
-	if r.fb != nil {
-		r.fb.Release()
+// copy returns frame copied into arena memory, capped so that an append on
+// the result cannot run into a neighbour, and the arena bytes the copy
+// consumed: the frame, plus the unused tail of a chunk it abandoned. Frames
+// over a quarter chunk get their own allocation, so an abandoned tail is
+// never more than a quarter chunk.
+func (a *arena) copy(frame []byte) ([]byte, int) {
+	n := len(frame)
+	if n > arenaChunk/4 {
+		//steer:allow hotpathalloc oversize frame: its own exact-size allocation instead of a chunk
+		return append(make([]byte, 0, n), frame...), n
 	}
+	cost := n
+	if cap(a.chunk)-len(a.chunk) < n {
+		cost += cap(a.chunk) - len(a.chunk)
+		//steer:allow hotpathalloc cold chunk refill, once per ~64 KB of journaled frames; the tap benchmarks hold 0 allocs/op
+		a.chunk = make([]byte, 0, arenaChunk)
+	}
+	off := len(a.chunk)
+	a.chunk = append(a.chunk, frame...)
+	return a.chunk[off:len(a.chunk):len(a.chunk)], cost
 }
 
 // Stats counts journal activity.
 type Stats struct {
 	// Records and MirrorBytes size the replayable mirror (what a late
-	// joiner's catch-up scans).
+	// joiner's catch-up scans). MirrorBytes counts the arena memory the
+	// records occupy: frame bytes, plus chunk tails no frame fitted into.
 	Records     int
 	MirrorBytes int
 	// Segments is the number of live segment files.
@@ -165,12 +191,12 @@ type Journal struct {
 	mu       sync.Mutex
 	recs     []record
 	mirBytes int
-	// tapped are records awaiting a maintenance write: Record no longer
-	// copies frames into a byte batch on the hot path — it retains the
-	// broadcast's refcounted buffer, and the maintenance sweep frames the
-	// bytes on the disk path and releases each buffer only after the write
-	// (and fsync, in durability mode) lands. A tapped buffer therefore
-	// cannot return to the frame pool before its fsync batch flushes.
+	// arena is where Record copies frames; the mirror's older records may
+	// live in chunks of arenas a compaction has since replaced.
+	arena arena
+	// tapped are records awaiting a maintenance write. They share their
+	// frame with the mirror record; the maintenance sweep frames the bytes
+	// on the disk path.
 	tapped   []record
 	snapshot func() [][]byte
 
@@ -195,6 +221,9 @@ type Journal struct {
 	// (guarded by iomu): a steady stream of appends costs no allocation on
 	// the disk path either.
 	blobScratch []byte
+	// spareTapped is the emptied batch slice of the last sweep (guarded by
+	// iomu), swapped in for the next one so the batch is not regrown.
+	spareTapped []record
 
 	writeErrs atomic.Uint64
 
@@ -236,34 +265,31 @@ func (j *Journal) SetSnapshot(fn func() [][]byte) {
 
 // Record implements core.JournalSink: it appends one broadcast frame. The
 // mirror is updated synchronously — an attach racing this call replays a
-// consistent prefix — but the hot path copies nothing: the refcounted
-// broadcast buffer is retained once for the mirror and once for the
-// pending disk batch, and the on-disk framing happens on the maintenance
-// path. Without a Syncer the maintenance (write, fsync, compaction) runs
-// inline before returning.
+// consistent prefix. The frame is copied once into the journal's arena,
+// shared by the mirror and the pending disk batch, and fb is not kept past
+// return; the on-disk framing happens on the maintenance path. Without a
+// Syncer the maintenance (write, fsync, compaction) runs inline before
+// returning.
 //
 //steer:hotpath
-//steer:owns
 func (j *Journal) Record(class core.JournalClass, fb *core.FrameBuf) {
 	switch class {
 	case core.JournalState, core.JournalEvent, core.JournalSample:
 	default:
 		return
 	}
-	frame := fb.Bytes()
-	j.mu.Lock() //steer:allow hotpathalloc journal tap mutex; held for slice appends only, disk I/O is under iomu on the maintenance path
+	j.mu.Lock() //steer:allow hotpathalloc journal tap mutex; held for a frame copy and slice appends only, disk I/O is under iomu on the maintenance path
 	if j.closed {
 		j.mu.Unlock()
 		return
 	}
-	r := record{class: byte(class), frame: frame, fb: fb}
-	r.retain() // mirror reference, dropped when compaction evicts the record
+	frame, cost := j.arena.copy(fb.Bytes())
+	r := record{class: byte(class), frame: frame}
 	j.recs = append(j.recs, r)
-	j.mirBytes += len(frame)
+	j.mirBytes += cost
 	if 1+len(frame) > maxRecordBytes {
 		j.stats.OversizedRecords++
 	} else {
-		r.retain() // batch reference, dropped after the flush (+fsync) lands
 		j.tapped = append(j.tapped, r)
 	}
 	j.stats.Appends++
@@ -281,23 +307,14 @@ func (j *Journal) Record(class core.JournalClass, fb *core.FrameBuf) {
 
 // Replay implements core.JournalSink: it visits the mirrored records oldest
 // first until visit returns false. Compaction-written snapshot frames visit
-// as JournalState. The visit runs without the journal lock; the replay
-// retains every record's buffer first, so a compaction swapping the mirror
-// mid-replay leaves this replay on its pre-compaction view with every
-// frame still alive (per the sink contract, frames are only valid during
-// the visit — callers copy what they keep).
+// as JournalState. The visit runs without the journal lock on the mirror as
+// it stood at the call: a compaction swapping the mirror mid-replay leaves
+// this replay on its pre-compaction view. Frames are immutable journal
+// memory, so the caller may keep them past the visit.
 func (j *Journal) Replay(visit func(class core.JournalClass, frame []byte) bool) {
 	j.mu.Lock()
 	recs := j.recs
-	for i := range recs {
-		recs[i].retain()
-	}
 	j.mu.Unlock()
-	defer func() {
-		for i := range recs {
-			recs[i].release()
-		}
-	}()
 	for _, r := range recs {
 		class := r.class
 		if class == recSnapshot {
@@ -316,15 +333,9 @@ func (j *Journal) Replay(visit func(class core.JournalClass, frame []byte) bool)
 // on it — and the batch is stolen under BOTH locks, so concurrent
 // Maintains cannot reorder batches on disk and a racing Close either
 // steals the batch itself or waits out this write: nothing is silently
-// dropped mid-handoff. The batch's buffer references are released only
-// after the write (and fsync) lands: until then the broadcast buffers
-// cannot return to the frame pool.
-//
-// Ref handoff: the stolen batch carries the references Record retained for
-// it; flushTappedLocked releases them after the blob is durable.
+// dropped mid-handoff. The emptied batch slice becomes the next sweep's.
 //
 //steer:coldpath
-//steer:owns
 func (j *Journal) Maintain() {
 	j.notified.Store(false)
 	j.iomu.Lock()
@@ -335,24 +346,23 @@ func (j *Journal) Maintain() {
 		return
 	}
 	tapped := j.tapped
-	j.tapped = nil
+	j.tapped = j.spareTapped
 	doCompact := j.needsCompact
 	j.needsCompact = false
 	j.mu.Unlock()
 	if len(tapped) > 0 {
 		j.flushTappedLocked(tapped)
 	}
+	clear(tapped) // a kept slice must not pin chunks a compaction dropped
+	j.spareTapped = tapped[:0]
 	j.iomu.Unlock()
 	if doCompact {
 		j.Compact()
 	}
 }
 
-// flushTappedLocked frames a stolen batch into the scratch blob, writes it
-// (fsyncing per Options.Fsync inside writeBlobLocked) and releases the
-// batch references. Caller holds iomu.
-//
-//steer:owns
+// flushTappedLocked frames a stolen batch into the scratch blob and writes
+// it (fsyncing per Options.Fsync inside writeBlobLocked). Caller holds iomu.
 func (j *Journal) flushTappedLocked(tapped []record) {
 	blob := j.blobScratch[:0]
 	for i := range tapped {
@@ -363,9 +373,6 @@ func (j *Journal) flushTappedLocked(tapped []record) {
 		j.blobScratch = blob[:0]
 	} else {
 		j.blobScratch = nil // a burst must not pin its arena forever
-	}
-	for i := range tapped {
-		tapped[i].release()
 	}
 }
 
@@ -378,24 +385,21 @@ const maxBlobScratch = 4 << 20
 // fold is persisted as a reset barrier plus the folded records at the head
 // of a fresh segment, after which every older segment is deleted — a crash
 // between the write and the deletes loses nothing, recovery discards
-// pre-barrier records anyway.
-//
-// Ref handoff: the mirror references Record retained for evicted records
-// are released here, once the folded segment is durable.
+// pre-barrier records anyway. The surviving events and sample are copied
+// into a fresh arena, which becomes the one Record fills next, so the
+// chunks they shared with dropped records become garbage once no replay
+// still refers to them.
 //
 //steer:coldpath
-//steer:owns
 func (j *Journal) Compact() {
 	j.iomu.Lock()
 	defer j.iomu.Unlock()
 
 	// Phase 1: snapshot the inputs. Only a slice header is taken under
-	// the hot-path lock; the fold itself (session state encode, CRC
-	// framing of up to CompactBytes of records) runs with iomu alone, so
-	// an emit's Record never stalls behind it. Reading base's frames
-	// without extra retains is safe: mirror references are only ever
-	// dropped by compaction itself, which iomu serialises (Close seals the
-	// journal but keeps the mirror alive for Replay).
+	// the hot-path lock; the fold itself (session state encode, survivor
+	// copies, CRC framing of up to CompactBytes of records) runs with iomu
+	// alone, so an emit's Record never stalls behind it. base's frames are
+	// immutable arena bytes, so reading them without the lock is safe.
 	j.mu.Lock()
 	if j.closed || j.snapshot == nil {
 		j.mu.Unlock()
@@ -406,26 +410,35 @@ func (j *Journal) Compact() {
 	j.mu.Unlock()
 
 	state := snap()
-	var events []record
+	var kept []record
 	var lastSample *record
 	for i := range base {
 		switch base[i].class {
 		case recEvent:
-			events = append(events, base[i])
+			kept = append(kept, base[i])
 		case recSample:
 			lastSample = &base[i]
 		}
 	}
-	if len(events) > j.opts.RetainEvents {
-		events = events[len(events)-j.opts.RetainEvents:]
+	if len(kept) > j.opts.RetainEvents {
+		kept = kept[len(kept)-j.opts.RetainEvents:]
 	}
-	fresh := make([]record, 0, len(state)+len(events)+1)
+	if lastSample != nil {
+		kept = append(kept, *lastSample)
+	}
+	// Snapshot frames are already fresh memory from the provider; the kept
+	// events and sample are copied out of the chunks the fold drops.
+	fresh := make([]record, 0, len(state)+len(kept))
+	var survivors arena
+	mirBytes := 0
 	for _, f := range state {
 		fresh = append(fresh, record{class: recSnapshot, frame: f})
+		mirBytes += len(f)
 	}
-	fresh = append(fresh, events...)
-	if lastSample != nil {
-		fresh = append(fresh, *lastSample)
+	for _, r := range kept {
+		frame, cost := survivors.copy(r.frame)
+		fresh = append(fresh, record{class: r.class, frame: frame})
+		mirBytes += cost
 	}
 	// Only compaction-minted snapshot frames are NEW oversize counts;
 	// retained records were counted when first recorded.
@@ -446,10 +459,8 @@ func (j *Journal) Compact() {
 	// and the blob (the tapped batch is stolen with the rest, since the
 	// blob now carries its content past the reset barrier; no Maintain can
 	// hold a stolen batch here, steals happen under iomu which we hold).
-	// Refcounts move with the swap: every record kept in the fresh mirror
-	// retains its buffer first, then every old mirror reference — and the
-	// superseded tapped batch — releases, so a dropped record's buffer
-	// returns to the frame pool and a kept one never dips to zero.
+	// The tail stays in the chunk Record copied it into; the survivors'
+	// arena takes over as the one Record fills.
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -457,32 +468,21 @@ func (j *Journal) Compact() {
 	}
 	for _, r := range j.recs[len(base):] {
 		fresh = append(fresh, r)
+		mirBytes += len(r.frame)
 		if 1+len(r.frame) > maxRecordBytes {
 			continue // counted when recorded
 		}
 		blob = appendRecord(blob, r.class, r.frame)
 	}
-	for i := range fresh {
-		fresh[i].retain()
-	}
-	old := j.recs
-	tapped := j.tapped
-	j.tapped = nil
+	clear(j.tapped)
+	j.tapped = j.tapped[:0]
 	j.recs = fresh
-	j.mirBytes = 0
-	for _, r := range fresh {
-		j.mirBytes += len(r.frame)
-	}
+	j.arena = survivors
+	j.mirBytes = mirBytes
 	j.needsCompact = false
 	j.stats.Compactions++
 	j.stats.OversizedRecords += oversized
 	j.mu.Unlock()
-	for i := range old {
-		old[i].release()
-	}
-	for i := range tapped {
-		tapped[i].release()
-	}
 
 	// Phase 3: persist — reset barrier + fold + commit at the head of a
 	// fresh segment, then drop every older segment. If the fold never
@@ -531,10 +531,8 @@ func (j *Journal) retryCompact() {
 }
 
 // Close writes the pending batch and closes the active segment. Further
-// Records are dropped; Replay keeps serving the mirror (whose buffer
-// references the journal therefore keeps holding — a sealed journal's
-// frames stay valid until the process, or the last replayer, lets go of
-// the Journal itself). A failed final write also counts into
+// Records are dropped; Replay keeps serving the mirror. A failed final
+// write also counts into
 // Stats.WriteErrs, so callers that discard the error (a hub evicting a
 // session) still leave an observable trace of the lost tail.
 func (j *Journal) Close() error {
@@ -588,8 +586,10 @@ func (j *Journal) Stats() Stats {
 }
 
 // crcRecord checksums a record body (class byte + frame) without
-// materialising it.
+// materialising it. The class byte is folded in through the IEEE table by
+// hand: a one-byte slice handed to crc32 escapes, one allocation per
+// framed record.
 func crcRecord(class byte, frame []byte) uint32 {
-	crc := crc32.ChecksumIEEE([]byte{class})
+	crc := ^(crc32.IEEETable[byte(0xFF)^class] ^ (^uint32(0) >> 8))
 	return crc32.Update(crc, crc32.IEEETable, frame)
 }

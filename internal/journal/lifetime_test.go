@@ -1,114 +1,120 @@
 package journal
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// TestTappedBufferHeldUntilFlush pins the refcount contract of the journal
-// tap: a broadcast buffer handed to Record cannot return to the frame pool
-// until the maintenance sweep's write (and fsync) lands. The journal holds
-// two references — one for the replay mirror, one for the pending batch —
-// and drops the batch reference only inside Maintain, after
-// writeBlobLocked.
-func TestTappedBufferHeldUntilFlush(t *testing.T) {
-	j, err := Open(Options{Dir: t.TempDir(), Fsync: true})
+// TestRecordKeepsNoReference pins the copy-in contract of the journal tap:
+// Record keeps no reference to the caller's pooled buffer — not for the
+// mirror, not for the pending disk batch — so the buffer goes straight back
+// to the pool on the caller's Release, and whatever the pool's next user
+// writes into it never reaches a replay or the disk. (Under -tags
+// framedebug the Release poisons the buffer, so any aliasing reads 0xDB.)
+func TestRecordKeepsNoReference(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir, Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	// A syncer with an hour-long dwell: Record signals it but no sweep
-	// runs, so the flush happens only when the test calls Maintain.
+	// A syncer with an hour-long dwell: the record stays in the pending
+	// batch until the test calls Maintain.
 	sy := NewSyncer(time.Hour)
 	defer sy.Close()
 	sy.Watch(j)
 
+	want := []byte("tapped-frame")
 	fb := core.GetFrame(64)
-	fb.AppendBytes([]byte("tapped-frame"))
+	fb.AppendBytes(want)
 	j.Record(core.JournalEvent, fb)
-	fb.Release() // the broadcaster is done; only the journal holds it now
-
-	if got := fb.Refs(); got != 2 {
-		t.Fatalf("refs after Record = %d, want 2 (mirror + pending batch)", got)
-	}
-	if st := j.Stats(); st.Segments != 1 {
-		t.Fatalf("unexpected early disk state: %+v", st)
-	}
-
-	j.Maintain() // the deferred flush — this is where the batch reference drops
 	if got := fb.Refs(); got != 1 {
-		t.Fatalf("refs after flush = %d, want 1 (mirror only)", got)
+		t.Fatalf("refs after Record = %d, want 1 (the journal keeps no reference)", got)
 	}
+	fb.Release()
 
-	// The mirror reference survives even a Close (Replay keeps serving it).
+	// Re-draw from the pool (usually the same buffer) and overwrite it.
+	reused := core.GetFrame(64)
+	reused.AppendBytes(bytes.Repeat([]byte{'X'}, 64))
+	defer reused.Release()
+
+	check := func(when string) {
+		t.Helper()
+		_, frames := replayAll(j)
+		if len(frames) != 1 || !bytes.Equal(frames[0], want) {
+			t.Fatalf("%s: replay = %q, want [%q]", when, frames, want)
+		}
+	}
+	check("pending batch")
+	j.Maintain() // the batch reaches disk from the journal's own copy
+	check("after flush")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fb.Refs(); got != 1 {
-		t.Fatalf("refs after Close = %d, want 1", got)
+	check("sealed")
+
+	j2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := 0
-	j.Replay(func(core.JournalClass, []byte) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("sealed journal replayed %d records, want 1", n)
+	defer j2.Close()
+	if _, frames := replayAll(j2); len(frames) != 1 || !bytes.Equal(frames[0], want) {
+		t.Fatalf("recovered = %q, want [%q]", frames, want)
 	}
 }
 
-// TestCompactionReleasesDroppedBuffers: compaction folds superseded state
-// records away, and their mirror references must drop with them — that is
-// the only point a journaled broadcast buffer can finally return to the
-// pool. Retained records (the event tail) keep theirs.
-func TestCompactionReleasesDroppedBuffers(t *testing.T) {
-	j, err := Open(Options{Dir: t.TempDir(), RetainEvents: 2})
+// TestReplayFramesOutliveCompaction: frames a Replay handed out stay valid
+// and unchanged after compactions drop their records and the pool recycles
+// every buffer the records came from. Zero-copy attach catch-up keeps
+// replayed slices past the visit and relies on exactly this.
+func TestReplayFramesOutliveCompaction(t *testing.T) {
+	j, err := Open(Options{Dir: t.TempDir(), RetainEvents: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.SetSnapshot(func() [][]byte { return [][]byte{[]byte("snapshot-state")} })
-
-	mk := func(s string) *core.FrameBuf {
+	j.SetSnapshot(func() [][]byte { return [][]byte{[]byte("S")} })
+	tap := func(class core.JournalClass, i int) {
 		fb := core.GetFrame(32)
-		fb.AppendBytes([]byte(s))
-		return fb
+		fb.AppendBytes(frameOf(class, i))
+		j.Record(class, fb)
+		fb.Release()
 	}
-	stale := mk("stale-state")
-	j.Record(core.JournalState, stale)
-	stale.Release()
-	oldEv := mk("old-event")
-	j.Record(core.JournalEvent, oldEv)
-	oldEv.Release()
-	kept1 := mk("kept-event-1")
-	j.Record(core.JournalEvent, kept1)
-	kept1.Release()
-	kept2 := mk("kept-event-2")
-	j.Record(core.JournalEvent, kept2)
-	kept2.Release()
-	j.Maintain() // flush: batch references drop, mirror references remain
+	for i := 0; i < 64; i++ {
+		tap(core.JournalEvent, i)
+		tap(core.JournalSample, i)
+	}
 
-	for _, fb := range []*core.FrameBuf{stale, oldEv, kept1, kept2} {
-		if fb.Refs() != 1 {
-			t.Fatalf("pre-compaction refs = %d, want 1", fb.Refs())
+	var kept, copies [][]byte
+	j.Replay(func(_ core.JournalClass, frame []byte) bool {
+		kept = append(kept, frame)
+		copies = append(copies, append([]byte(nil), frame...))
+		return true
+	})
+	for round := 0; round < 2; round++ {
+		j.Compact()
+		for i := 0; i < 256; i++ {
+			tap(core.JournalEvent, 1000+i)
 		}
+		runtime.GC()
 	}
-
-	j.Compact()
-	// stale-state folded into the snapshot, old-event beyond the retain
-	// bound: both released. The two newest events survive in the mirror.
-	if stale.Refs() != 0 || oldEv.Refs() != 0 {
-		t.Fatalf("dropped records still referenced: state=%d event=%d", stale.Refs(), oldEv.Refs())
+	if st := j.Stats(); st.Compactions != 2 {
+		t.Fatalf("compactions = %d, want 2", st.Compactions)
 	}
-	if kept1.Refs() != 1 || kept2.Refs() != 1 {
-		t.Fatalf("retained records lost references: %d %d", kept1.Refs(), kept2.Refs())
+	for i := range kept {
+		if !bytes.Equal(kept[i], copies[i]) {
+			t.Fatalf("kept frame %d changed after compaction: %q, want %q", i, kept[i], copies[i])
+		}
 	}
 }
 
 // TestReplaySurvivesConcurrentCompaction: a replay that grabbed the mirror
-// must keep every frame alive for its whole visit even if a compaction
-// swaps and releases the records mid-replay — the replay's own retains
-// bridge the gap. (Under -tags framedebug a violation is a poisoned read;
-// under -race, a use-after-pool report.)
+// must read every frame intact for its whole visit even if a compaction
+// swaps the mirror mid-replay. (Under -tags framedebug a frame aliasing a
+// pooled buffer would read poisoned; under -race, a use-after-pool report.)
 func TestReplaySurvivesConcurrentCompaction(t *testing.T) {
 	j, err := Open(Options{Dir: t.TempDir(), RetainEvents: 1})
 	if err != nil {
@@ -130,7 +136,7 @@ func TestReplaySurvivesConcurrentCompaction(t *testing.T) {
 		case <-compacted:
 		default:
 			// Compact once, from inside the visit: every remaining frame of
-			// this replay's view is released by the swap while we still
+			// this replay's view is dropped from the mirror while we still
 			// read it.
 			go func() { j.Compact(); close(compacted) }()
 			<-compacted

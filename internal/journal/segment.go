@@ -145,7 +145,12 @@ type scanResult struct {
 	openReset int64
 }
 
-// scanSegment reads every CRC-valid record from the start of a segment.
+// scanSegment reads every CRC-valid record from the start of a segment. A
+// declared body length is checked against the bytes left in the file
+// before it sizes anything, bodies are read into one reused buffer, and the
+// frames are copied into an arena: a hostile or torn length prefix cannot
+// drive a large allocation, and a recovered record costs no allocation of
+// its own.
 func scanSegment(path string) (scanResult, error) {
 	res := scanResult{openReset: -1}
 	f, err := os.Open(path)
@@ -153,7 +158,13 @@ func scanSegment(path string) (scanResult, error) {
 		return res, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return res, err
+	}
 	br := bufio.NewReaderSize(f, 64<<10)
+	var body []byte
+	var mem arena
 
 	var hdr [segHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -177,11 +188,15 @@ func scanSegment(path string) (scanResult, error) {
 		}
 		n := binary.BigEndian.Uint32(pre[0:4])
 		crc := binary.BigEndian.Uint32(pre[4:8])
-		if n < 1 || n > maxRecordBytes {
+		left := fi.Size() - res.goodSize - recPrefixSize
+		if n < 1 || n > maxRecordBytes || int64(n) > left {
 			res.damaged = true
 			return res, nil
 		}
-		body := make([]byte, n)
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+		}
+		body = body[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
 			res.damaged = true
 			return res, nil
@@ -196,7 +211,8 @@ func scanSegment(path string) (scanResult, error) {
 		case recCommit:
 			res.openReset = -1
 		}
-		res.records = append(res.records, record{class: body[0], frame: body[1:]})
+		frame, _ := mem.copy(body[1:])
+		res.records = append(res.records, record{class: body[0], frame: frame})
 		res.goodSize += int64(recPrefixSize) + int64(n)
 	}
 }

@@ -47,8 +47,13 @@ func Attach(conn net.Conn) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("vnc: malformed init frame")
 	}
+	n, err := framebufferBytes(dims[0], dims[1])
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	c.w, c.h = int(dims[0]), int(dims[1])
-	c.pix = make([]byte, c.w*c.h*4)
+	c.pix = make([]byte, n)
 
 	go c.readLoop(dec)
 	return c, nil
@@ -78,6 +83,12 @@ func (c *Client) readLoop(dec *wire.Decoder) {
 			}
 			x, y := int(pendingHdr[0]), int(pendingHdr[1])
 			tw, th := int(pendingHdr[2]), int(pendingHdr[3])
+			if tw <= 0 || th <= 0 || tw > TileSize || th > TileSize {
+				// The server never sends such a tile; a hostile size must
+				// not size the decompression buffer.
+				pendingHdr = nil
+				continue
+			}
 			enc := int32(pendingHdr[4])
 			data, err := decompressTile(enc, m.Blobs[0], tw*th*4)
 			if err != nil {

@@ -178,13 +178,20 @@ func (v *Viewer) readLoop() {
 // apply decodes one tile blob into the local framebuffer. Partial updates
 // only apply on an unbroken sequence; after a gap (ring eviction on a slow
 // link) the viewer holds its last good frame until a full-coverage update
-// re-anchors it.
+// re-anchors it. A blob declaring a geometry outside
+// (0, MaxFramebufferBytes] is dropped the same way, before it sizes
+// anything.
 func (v *Viewer) apply(b *core.Blob) {
 	if b.Stream != DesktopStream || b.Encoding != pixel.EncTiles {
 		return
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	n, err := framebufferBytes(int64(b.Width), int64(b.Height))
+	if err != nil {
+		v.anchor = pixel.Anchor{} // hold until the next full update
+		return
+	}
 	anchorEnc := pixel.EncTiles
 	if b.Flags&pixel.FlagKey != 0 {
 		anchorEnc = pixel.EncKey
@@ -194,9 +201,9 @@ func (v *Viewer) apply(b *core.Blob) {
 	}
 	if v.w != b.Width || v.h != b.Height {
 		v.w, v.h = b.Width, b.Height
-		v.pix = make([]byte, v.w*v.h*4)
+		v.pix = make([]byte, n)
 	}
-	err := pixel.DecodeTiles(b.Data, func(t pixel.Tile) error {
+	err = pixel.DecodeTiles(b.Data, func(t pixel.Tile) error {
 		v.tiles++
 		return applyTile(v.pix, v.w, t.X, t.Y, t.W, t.H, t.Pix)
 	})

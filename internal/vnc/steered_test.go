@@ -217,3 +217,43 @@ func TestViewerSurvivesHostileTiles(t *testing.T) {
 		t.Fatal("full update did not re-anchor the viewer")
 	}
 }
+
+// TestViewerRejectsHostileGeometry: a tile blob's Width×Height come off the
+// wire, and sized unchecked a negative one panics in make and a huge one
+// exhausts memory. Such a blob is dropped before it sizes anything: the
+// viewer keeps its last good frame and re-anchors on the next full update.
+func TestViewerRejectsHostileGeometry(t *testing.T) {
+	const side = 32
+	blob := func(w, h int, seq uint64, flags int64) *core.Blob {
+		data, err := pixel.AppendTile(nil, pixel.Tile{W: TileSize, H: TileSize, Pix: make([]byte, TileSize*TileSize*4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &core.Blob{
+			Stream: DesktopStream, Seq: seq, Encoding: pixel.EncTiles,
+			Width: w, Height: h, Flags: flags, Data: data,
+		}
+	}
+	v := new(Viewer)
+	v.apply(blob(side, side, 1, pixel.FlagKey))
+	if v.Frames() != 1 {
+		t.Fatal("good keyframe not applied")
+	}
+	good := v.Checksum()
+	hostile := [][2]int{{-1, side}, {side, -16}, {0, 0}, {0, side}, {1 << 31, 1 << 31}, {4097, 4096}, {1 << 62, 4}}
+	for i, g := range hostile {
+		v.apply(blob(g[0], g[1], uint64(2+i), pixel.FlagKey))
+		if v.Frames() != 1 || v.Checksum() != good {
+			t.Fatalf("hostile geometry %dx%d applied", g[0], g[1])
+		}
+	}
+	next := uint64(2 + len(hostile))
+	v.apply(blob(side, side, next, 0))
+	if v.Frames() != 1 {
+		t.Fatal("partial update applied after a dropped blob, without a re-anchor")
+	}
+	v.apply(blob(side, side, next+1, pixel.FlagKey))
+	if v.Frames() != 2 {
+		t.Fatal("full update did not re-anchor the viewer")
+	}
+}

@@ -22,6 +22,20 @@ import (
 // TileSize is the edge length of a protocol tile in pixels.
 const TileSize = 16
 
+// MaxFramebufferBytes bounds the framebuffer a viewer sizes from a peer's
+// declared geometry (4096×4096 RGBA). Viewer and Attach refuse a
+// non-positive or larger geometry before allocating anything.
+const MaxFramebufferBytes = 4096 * 4096 * 4
+
+// framebufferBytes is the RGBA size of a w×h framebuffer declared off the
+// wire, or an error if it falls outside (0, MaxFramebufferBytes].
+func framebufferBytes(w, h int64) (int, error) {
+	if w <= 0 || h <= 0 || w > MaxFramebufferBytes/4/h {
+		return 0, fmt.Errorf("vnc: framebuffer %dx%d outside 1..%d bytes", w, h, MaxFramebufferBytes)
+	}
+	return int(w * h * 4), nil
+}
+
 // wire tags of the protocol.
 const (
 	tagInit     = 0x00F1 // Int32s [w, h]
@@ -71,13 +85,14 @@ func compressTile(raw []byte) (enc int32, data []byte) {
 	return encRaw, raw
 }
 
-// decompressTile reverses compressTile.
+// decompressTile reverses compressTile. A flate stream inflates to at most
+// want+1 bytes, enough for applyTile to see the size mismatch.
 func decompressTile(enc int32, data []byte, want int) ([]byte, error) {
 	switch enc {
 	case encRaw:
 		return data, nil
 	case encFlate:
-		r := flate.NewReader(bytes.NewReader(data))
+		r := io.LimitReader(flate.NewReader(bytes.NewReader(data)), int64(want)+1)
 		out := make([]byte, 0, want)
 		buf := make([]byte, 4096)
 		for {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/render"
+	"repro/internal/wire"
 )
 
 // startShared stands up a server with n attached viewers over loopback TCP.
@@ -265,4 +266,33 @@ func TestQuickTileRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAttachRejectsHostileInit: the init frame's geometry sizes the
+// bespoke client's framebuffer, so Attach refuses a non-positive or
+// oversized one with an error instead of panicking or allocating it.
+func TestAttachRejectsHostileInit(t *testing.T) {
+	for _, dims := range [][]int64{{-1, 64}, {64, 0}, {0, 0}, {4097, 4096}, {1 << 40, 1 << 40}, {-1 << 62, -4}} {
+		srv, cli := net.Pipe()
+		go func() {
+			wire.NewEncoder(srv).Int64s(tagInit, dims)
+			srv.Close()
+		}()
+		c, err := Attach(cli)
+		if err == nil {
+			c.Close()
+			t.Fatalf("init %v accepted", dims)
+		}
+	}
+	srv, cli := net.Pipe()
+	go wire.NewEncoder(srv).Int64s(tagInit, []int64{64, 48})
+	c, err := Attach(cli)
+	if err != nil {
+		t.Fatalf("64x48 init refused: %v", err)
+	}
+	if w, h := c.Size(); w != 64 || h != 48 {
+		t.Fatalf("size %dx%d", w, h)
+	}
+	c.Close()
+	srv.Close()
 }
