@@ -21,7 +21,7 @@ SOAK_OBS_DURATION ?= 20s
 SOAK_OBS_OUT ?= bench-soak-observer.json
 SOAK_OBS_FLAGS ?=
 
-.PHONY: check vet lint steervet staticcheck vulncheck build test test-framedebug bench steerbench steerbench-test bench-hotpath bench-smoke bench-compare fuzz-smoke cover soak soak-observer
+.PHONY: check vet lint steervet staticcheck vulncheck build test test-framedebug loc bench steerbench steerbench-test bench-hotpath bench-smoke bench-compare fuzz-smoke cover soak soak-observer
 
 check: vet lint build test test-framedebug bench-smoke
 
@@ -61,10 +61,21 @@ test:
 # test-framedebug re-runs the packages that enforce buffer lifetime rules
 # with poisoning compiled in: a FrameBuf read past its last Release, or a
 # pixel.Tile's Pix kept past the DecodeTiles callback that lent it, fails
-# deterministically instead of racing the pool's next user.
+# deterministically instead of racing the pool's next user. internal/hub is
+# here because the daemons and steerbench drain every frame through it.
 test-framedebug:
-	$(GO) test -tags framedebug ./internal/core ./internal/journal \
+	$(GO) test -tags framedebug ./internal/core ./internal/hub ./internal/journal \
 		./internal/pixel ./internal/vnc ./internal/vizserver
+
+# loc prints non-test Go line counts for internal/core, internal/hub and the
+# module outside bench/ (its own module), so a change that collapses code
+# reports one reproducible delta.
+loc:
+	@for d in internal/core internal/hub; do \
+		printf '%-16s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
+	@printf '%-16s %6d\n' 'repo w/o bench' \
+		$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -105,10 +105,10 @@ func BenchmarkHubFanout(b *testing.B) {
 }
 
 // BenchmarkSessionFanoutBaseline is the unhubbed comparison: one
-// core.Session serving 16 clients with a writer goroutine per client. The
-// hub's 1x16 case should be in the same regime; its 16x16 case is the load
-// a single session cannot host at all (one listener, one registry, no
-// shards).
+// core.Session serving 16 clients through the writer pool it owns — the
+// same pool shape a hub shard shares across its sessions. The hub's 1x16
+// case should be in the same regime; its 16x16 case is the load a single
+// session cannot host at all (one listener, one registry, no shards).
 func BenchmarkSessionFanoutBaseline(b *testing.B) {
 	sess := core.NewSession(core.SessionConfig{Name: "baseline", SampleQueue: 64})
 	defer sess.Close()

@@ -35,24 +35,21 @@ func (discardAddr) String() string  { return "discard" }
 
 // inlineWriter is a WriterScheduler that drains on the notifying goroutine:
 // deterministic, no scheduler latency, and the drain cost lands inside the
-// measured op. The edge trigger serialises drains per client exactly as the
-// hub's pool does.
+// measured op. The edge trigger serialises drains per client exactly as
+// WriterPool does.
 type inlineWriter struct {
-	batch   int
-	timeout time.Duration
+	batch int
 }
 
 func (w *inlineWriter) ClientReady(h *ClientHandle) {
-	for h.MarkScheduled() {
-		_, more, err := h.DrainBatch(w.batch, w.timeout)
-		h.ClearScheduled()
+	for h.markScheduled() {
+		_, more, err := h.drainBatch(w.batch)
+		h.clearScheduled()
 		if err != nil || !more {
 			return
 		}
 	}
 }
-
-func (w *inlineWriter) ClientClosed(*ClientHandle) {}
 
 // benchBroadcastSession builds a session with n admitted, welcomed clients
 // on discard conns, drained inline.
@@ -60,7 +57,7 @@ func benchBroadcastSession(tb testing.TB, n int) (*Session, *Steered) {
 	tb.Helper()
 	s := NewSession(SessionConfig{
 		Name: "hotpath", SampleQueue: 64,
-		Writer: &inlineWriter{batch: 64, timeout: time.Second},
+		Writer: &inlineWriter{batch: 64},
 	})
 	for i := 0; i < n; i++ {
 		cc, err := s.admit(&attachMsg{Name: fmt.Sprintf("c%03d", i)}, newCodec(discardConn{}))
@@ -178,7 +175,7 @@ func benchInterestSession(tb testing.TB, n int, interest float64, tier Tier) (*S
 	tb.Helper()
 	s := NewSession(SessionConfig{
 		Name: "interest", SampleQueue: 64,
-		Writer:           &inlineWriter{batch: 64, timeout: time.Second},
+		Writer:           &inlineWriter{batch: 64},
 		ObserverInterval: -1, // flush immediately: no ticker noise under the benchmark
 	})
 	interested := int(float64(n) * interest)

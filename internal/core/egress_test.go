@@ -1,6 +1,6 @@
 // Vectored egress tests (PR 9): the capability probe, the hybrid
 // coalesce/zero-copy split, failure handling on short writes and expired
-// deadlines, the DrainBatch scratch scrub, and the cross-conn delivery
+// deadlines, the drainBatch scratch scrub, and the cross-conn delivery
 // matrix. Run with and without -tags framedebug — the failure tests lean on
 // poison-on-release to catch any iovec aliasing a released frame.
 package core
@@ -256,12 +256,13 @@ func TestWriteBatchVectoredBytes(t *testing.T) {
 }
 
 // drainFixture admits one welcomed client over conn with an inline writer
-// and queues n retained frames; the caller drains and asserts.
-func drainFixture(t *testing.T, conn net.Conn, n int) (*Session, *ClientHandle, []*FrameBuf) {
+// and a write deadline of timeout, and queues n retained frames; the caller
+// drains and asserts.
+func drainFixture(t *testing.T, conn net.Conn, n int, timeout time.Duration) (*Session, *ClientHandle, []*FrameBuf) {
 	t.Helper()
 	s := NewSession(SessionConfig{
-		Name: "egress", SampleQueue: 64,
-		Writer: &inlineWriter{batch: 64, timeout: time.Second},
+		Name: "egress", SampleQueue: 64, ControlTimeout: timeout,
+		Writer: &inlineWriter{batch: 64},
 	})
 	t.Cleanup(s.Close)
 	cc, err := s.admit(&attachMsg{Name: "victim"}, newCodec(conn))
@@ -283,16 +284,16 @@ func drainFixture(t *testing.T, conn net.Conn, n int) (*Session, *ClientHandle, 
 // reference released (under framedebug, a leaked iovec alias of a released
 // pooled frame would trip the poison instead).
 func TestDrainBatchShortWrite(t *testing.T) {
-	_, h, frames := drainFixture(t, &shortWriteConn{limit: 700}, 4)
-	wrote, more, err := h.DrainBatch(16, time.Second)
+	_, h, frames := drainFixture(t, &shortWriteConn{limit: 700}, 4, time.Second)
+	wrote, more, err := h.drainBatch(16)
 	if err == nil {
-		t.Fatal("want short-write error from DrainBatch")
+		t.Fatal("want short-write error from drainBatch")
 	}
 	if wrote != 0 || more {
 		t.Fatalf("failed drain reported wrote=%d more=%v, want 0,false", wrote, more)
 	}
 	select {
-	case <-h.Gone():
+	case <-h.cc.gone:
 	default:
 		t.Fatal("client not marked gone after short write")
 	}
@@ -310,16 +311,16 @@ func TestDrainBatchShortWrite(t *testing.T) {
 // TestDrainBatchDeadlineExpiry: a conn stalling mid-vectored-write until
 // the write deadline fires must produce the same clean death.
 func TestDrainBatchDeadlineExpiry(t *testing.T) {
-	_, h, frames := drainFixture(t, newStallConn(), 3)
-	_, _, err := h.DrainBatch(16, 30*time.Millisecond)
+	_, h, frames := drainFixture(t, newStallConn(), 3, 30*time.Millisecond)
+	_, _, err := h.drainBatch(16)
 	if err == nil {
-		t.Fatal("want deadline error from DrainBatch")
+		t.Fatal("want deadline error from drainBatch")
 	}
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	select {
-	case <-h.Gone():
+	case <-h.cc.gone:
 	default:
 		t.Fatal("client not marked gone after deadline expiry")
 	}
@@ -336,8 +337,8 @@ func TestDrainBatchDeadlineExpiry(t *testing.T) {
 // across its full backing capacity, so released pool buffers are never
 // pinned reachable between drains.
 func TestDrainBatchScratchScrubbed(t *testing.T) {
-	_, h, frames := drainFixture(t, vecDiscardConn{}, 6)
-	if _, _, err := h.DrainBatch(16, time.Second); err != nil {
+	_, h, frames := drainFixture(t, vecDiscardConn{}, 6, time.Second)
+	if _, _, err := h.drainBatch(16); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.frames) != 0 || len(h.bufs) != 0 {
@@ -417,8 +418,8 @@ func TestEgressCrossConnMatrix(t *testing.T) {
 		waitFor(t, "samples delivered", func() bool {
 			return s.Stats().SamplesDelivered >= samples
 		})
-		// Quiesce: the dedicated writer has flushed once the client-side
-		// stream stops growing with all frames delivered.
+		// Quiesce: the session's pool writers have flushed once the
+		// client-side stream stops growing with all frames delivered.
 		last := -1
 		waitFor(t, "stream quiescent", func() bool {
 			mu.Lock()

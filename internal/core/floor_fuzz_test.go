@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -51,7 +50,7 @@ func FuzzFloorFrames(f *testing.F) {
 		// independent: "a" holds the floor (first attach), "b" is the
 		// hostile sender.
 		s := NewSession(SessionConfig{
-			Name: "floor-fuzz", Writer: &inlineWriter{batch: 8, timeout: time.Second},
+			Name: "floor-fuzz", Writer: &inlineWriter{batch: 8},
 		})
 		defer s.Close()
 		var conns []*clientConn

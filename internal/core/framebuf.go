@@ -8,18 +8,20 @@ import (
 // FrameBuf is a pooled, refcounted envelope buffer: the allocation unit of
 // the broadcast hot path. A broadcast encodes its envelope once into a
 // FrameBuf drawn from a sync.Pool, then every consumer — each client queue
-// slot, the journal tap, a writer mid-drain — holds its own reference. The
-// last Release returns the buffer to the pool, so the steady-state fan-out
-// cost is refcount arithmetic, not allocation: encode-once becomes
-// allocate-rarely.
+// slot, a relay worker's input ring, a writer mid-drain — holds its own
+// reference. The journal tap holds none: JournalSink.Record copies the bytes
+// it keeps before returning. The last Release returns the buffer to the
+// pool, so the steady-state fan-out cost is refcount arithmetic, not
+// allocation: encode-once becomes allocate-rarely.
 //
 // Ownership discipline (the lifetime rules the -race stress tests guard):
 //
 //   - GetFrame returns a buffer the caller owns with one reference.
 //   - A holder that keeps the buffer past a call boundary takes its own
 //     reference with Retain before the handoff returns, and pairs it with
-//     exactly one Release when done. frameRing.push retains internally;
-//     JournalSink implementations retain inside Record.
+//     exactly one Release when done. frameRing.push retains internally; a
+//     callee that only copies the bytes before returning, as
+//     JournalSink.Record does, takes no reference.
 //   - Bytes must not be read after the holder's Release, and never mutated
 //     after the first handoff. The framedebug build tag enforces the former
 //     by poisoning buffers on their way back to the pool.

@@ -151,15 +151,14 @@ func BenchmarkProtocolFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("clients-%d", n), func(b *testing.B) {
 			// Fake attached clients: real queues, no sockets, so the
 			// measurement isolates encode + enqueue.
-			s := NewSession(SessionConfig{SampleQueue: 2})
+			s := NewSession(SessionConfig{SampleQueue: 2, Writer: &inlineWriter{batch: 2}})
 			for i := 0; i < n; i++ {
 				name := fmt.Sprintf("c%02d", i)
 				s.clients[name] = &clientConn{
-					name:  name,
-					out:   newFrameRing(2),
-					ctrl:  newFrameRing(2),
-					ready: make(chan struct{}, 1),
-					gone:  make(chan struct{}),
+					name: name,
+					out:  newFrameRing(2),
+					ctrl: newFrameRing(2),
+					gone: make(chan struct{}),
 				}
 				s.order = append(s.order, name)
 			}

@@ -561,17 +561,16 @@ func TestChoiceRegistrationValidation(t *testing.T) {
 // clients performs exactly one serialization, and every queue slot holds a
 // reference to the same pooled buffer.
 func TestEncodeOnceSharesBuffer(t *testing.T) {
-	// No Close: the session never serves a listener and the fake clients
-	// carry no codec to shut down.
-	s := NewSession(SessionConfig{SampleQueue: 4})
+	// No Close: the session never serves a listener, the fake clients carry
+	// no codec to shut down, and the inline writer starts no goroutines.
+	s := NewSession(SessionConfig{SampleQueue: 4, Writer: &inlineWriter{batch: 4}})
 	for i := 0; i < 3; i++ {
 		name := string(rune('a' + i))
 		s.clients[name] = &clientConn{
-			name:  name,
-			out:   newFrameRing(4),
-			ctrl:  newFrameRing(4),
-			ready: make(chan struct{}, 1),
-			gone:  make(chan struct{}),
+			name: name,
+			out:  newFrameRing(4),
+			ctrl: newFrameRing(4),
+			gone: make(chan struct{}),
 		}
 		s.order = append(s.order, name)
 	}

@@ -61,8 +61,7 @@ type relayWorker struct {
 	// in is the worker's input queue; pushes retain, drains transfer the
 	// references to the worker.
 	in *frameRing
-	// ready is the capacity-1 wakeup token, same shape as a dedicated
-	// client writer's.
+	// ready is the capacity-1 wakeup token.
 	ready chan struct{}
 }
 

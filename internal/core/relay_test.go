@@ -62,9 +62,9 @@ func steerAndPoll(t *testing.T, s *Session, st *Steered, name string, v float64)
 // later frames are held, and a steer pushes exactly one sample and one
 // blob — with everything held before them, in order — through the hold.
 //
-// The session drains inline (recordingWriter): a dedicated writer goroutine
-// still finishing the previous flush would take the next frame along, and
-// the holds asserted here would race with it.
+// The session drains inline (recordingWriter): a pool writer still
+// finishing the previous flush would take the next frame along, and the
+// holds asserted here would race with it.
 func TestObserverPushThrough(t *testing.T) {
 	rec := newRecordingWriter()
 	s, addr := testSessionAddr(t, SessionConfig{AppName: "app", Writer: rec, ObserverInterval: time.Hour})
@@ -163,7 +163,7 @@ type recordingWriter struct {
 
 func newRecordingWriter() *recordingWriter {
 	return &recordingWriter{
-		inlineWriter: inlineWriter{batch: 64, timeout: time.Second},
+		inlineWriter: inlineWriter{batch: 64},
 		woken:        map[string]int{}, active: map[string]int{},
 	}
 }

@@ -12,8 +12,8 @@ import "sync"
 // that client's drainer can meet here, for a few pointer moves.
 //
 // Producers are the broadcast paths (many, concurrent); the consumer is the
-// client's writer — dedicated goroutine or the pool writer that won the
-// handle's edge trigger — draining in FIFO order. Refcounts: push takes its
+// pool writer that won the client handle's edge trigger, draining in FIFO
+// order. Refcounts: push takes its
 // own reference on the queued frame and releases any slot it overwrites;
 // drainInto transfers the slot references to the caller, who releases them
 // after the write.

@@ -23,11 +23,11 @@ type SessionConfig struct {
 	// that cannot accept control messages within it is declared dead.
 	// 0 selects a default of 2s.
 	ControlTimeout time.Duration
-	// Writer, when non-nil, replaces the per-client writer goroutine with an
-	// external scheduler (a hub's per-shard writer pool): the session signals
-	// ClientReady after queueing output and the scheduler drains via
-	// ClientHandle.DrainBatch. Nil keeps the classic one-goroutine-per-client
-	// draining.
+	// Writer drains the clients' outbound queues: the session signals
+	// ClientReady after queueing output. A hub passes its shard's shared
+	// WriterPool here; nil gives the session a WriterPool of its own, which
+	// Close stops. Either way a stalled client holds one pool writer for at
+	// most one ControlTimeout.
 	Writer WriterScheduler
 	// Journal, when non-nil, receives every broadcast envelope's encoded
 	// bytes (the same buffer queued to clients — journaling never
@@ -177,6 +177,10 @@ type Session struct {
 	// (the OGSI steering service's sample operation).
 	lastSample atomic.Pointer[Sample]
 
+	// ownPool is the writer pool NewSession started because the config
+	// named none; nil when cfg.Writer was supplied. Close stops it.
+	ownPool *WriterPool
+
 	closed  bool
 	closeCh chan struct{}
 }
@@ -254,17 +258,14 @@ type clientConn struct {
 	// queues are rings of refcounted *FrameBuf: a broadcast serializes once
 	// into a pooled buffer and every queue slot holds a reference to it
 	// (encode-once, allocate-rarely fan-out).
-	out     *frameRing
-	ctrl    *frameRing
-	dropped atomic.Uint64
-	// ready wakes the dedicated writer goroutine (capacity-1 wakeup token);
-	// unused when an external WriterScheduler drains the client.
-	ready    chan struct{}
+	out      *frameRing
+	ctrl     *frameRing
+	dropped  atomic.Uint64
 	gone     chan struct{}
 	goneOnce sync.Once
-	// welcomed flips once the welcome frame is on the wire; no writer —
-	// dedicated or pooled — may drain the queues before then, or the client
-	// would see a sample/control frame as its first post-attach message.
+	// welcomed flips once the welcome frame is on the wire; no writer may
+	// drain the queues before then, or the client would see a
+	// sample/control frame as its first post-attach message.
 	welcomed atomic.Bool
 	// stash overflows the ctrl queue while the client is pre-welcome on a
 	// journaled session (the welcome + catch-up writes can outlast a
@@ -274,17 +275,21 @@ type clientConn struct {
 	stashMu     sync.Mutex
 	stash       []*FrameBuf
 	stashClosed bool
-	// handle is the external-writer view of this client; nil when the
-	// session drains queues with per-client goroutines.
+	// handle is the writer's view of this client.
 	handle *ClientHandle
 }
 
-// markGone declares the client dead exactly once; the read loop and any
-// writer observing gone will unwind and drop the client.
+// markGone declares the client dead exactly once. It closes the conn as
+// well, which aborts the read loop's pending read, so the loop unwinds and
+// drops the client without a goroutine watching gone; ServePending's own
+// deferred close then finds the conn already closed.
 //
 //steer:coldpath client teardown, runs once per connection death
 func (cc *clientConn) markGone() {
-	cc.goneOnce.Do(func() { close(cc.gone) })
+	cc.goneOnce.Do(func() {
+		close(cc.gone)
+		cc.codec.close()
+	})
 }
 
 // maxCtrlStash bounds the pre-welcome overflow stash; a client that falls
@@ -381,6 +386,10 @@ func NewSession(cfg SessionConfig) *Session {
 		},
 		resumeCh: make(chan struct{}),
 		closeCh:  make(chan struct{}),
+	}
+	if cfg.Writer == nil {
+		s.ownPool = NewWriterPool()
+		s.cfg.Writer = s.ownPool
 	}
 	s.clientsView.Store(&[]*clientConn{})
 	s.steerView.Store(&[]*clientConn{})
@@ -608,23 +617,11 @@ func (s *Session) ServePending(p *PendingConn) error {
 	}
 	defer s.drop(cc)
 
-	// Unblock the read loop promptly when the client is declared dead by a
-	// failed write (pooled or dedicated): closing the conn aborts c.read.
-	serveDone := make(chan struct{})
-	defer close(serveDone)
-	go func() {
-		select {
-		case <-cc.gone:
-			c.close()
-		case <-serveDone:
-		}
-	}()
-
 	// Welcome frame carries the full session state. Broadcasts between
-	// admit and here only queue (no writer runs yet), and a frame queued in
-	// that window duplicates state the welcome snapshot already carries
-	// (view updates are Seq-guarded client-side), so delivering it after
-	// the welcome is harmless.
+	// admit and here only queue (the welcomed gate holds the writer off),
+	// and a frame queued in that window duplicates state the welcome
+	// snapshot already carries (view updates are Seq-guarded client-side),
+	// so delivering it after the welcome is harmless.
 	s.mu.Lock()
 	role := RoleObserver
 	if s.master == cc.name {
@@ -697,45 +694,9 @@ func (s *Session) ServePending(p *PendingConn) error {
 		}
 	}
 
-	if s.cfg.Writer == nil {
-		// Writer goroutine drains both rings in batches, control first;
-		// broadcasts leave a wakeup token in cc.ready after queueing.
-		go func() {
-			var frames []*FrameBuf
-			var bufs [][]byte
-			for {
-				frames = cc.ctrl.drainInto(frames[:0], 64)
-				frames = cc.out.drainInto(frames, 64)
-				if len(frames) == 0 {
-					select {
-					case <-cc.ready:
-						continue
-					case <-cc.gone:
-						return
-					case <-s.closeCh:
-						return
-					}
-				}
-				bufs = bufs[:0]
-				for _, fb := range frames {
-					bufs = append(bufs, fb.Bytes())
-				}
-				err := cc.codec.writeBatch(bufs, s.cfg.ControlTimeout)
-				releaseFrames(frames)
-				for i := range bufs {
-					bufs[i] = nil // don't pin a released frame's backing array
-				}
-				if err != nil {
-					cc.markGone()
-					return
-				}
-			}
-		}()
-	} else {
-		// Flush anything queued while the welcome was in flight; earlier
-		// ClientReady signals were suppressed by the welcomed gate.
-		s.notifyWriter(cc)
-	}
+	// Flush anything queued while the welcome was in flight; earlier
+	// ClientReady signals were suppressed by the welcomed gate.
+	s.notifyWriter(cc)
 
 	// Read loop: dispatch client requests.
 	for {
@@ -832,9 +793,9 @@ func (s *Session) admitLocked(a *attachMsg, c *codec) (*clientConn, error) {
 		priority:   a.Priority,
 		out:        newFrameRing(s.cfg.SampleQueue),
 		ctrl:       newFrameRing(64),
-		ready:      make(chan struct{}, 1),
 		gone:       make(chan struct{}),
 	}
+	cc.handle = &ClientHandle{s: s, cc: cc}
 	cc.proto = a.proto
 	if cc.proto == 0 {
 		cc.proto = ProtoVersion
@@ -856,9 +817,6 @@ func (s *Session) admitLocked(a *attachMsg, c *codec) (*clientConn, error) {
 		s.ensureRelayLocked()
 	}
 	cc.lastBeat.Store(s.now().UnixNano())
-	if s.cfg.Writer != nil {
-		cc.handle = &ClientHandle{s: s, cc: cc}
-	}
 	if s.master == "" && (a.WantMaster || len(s.clients) == 0) {
 		// Implicit grant at attach: the floor is free and the client asked
 		// (or is the first participant, the paper's one-user degenerate
@@ -930,9 +888,6 @@ func (s *Session) drop(cc *clientConn) {
 	cc.ctrl.closeRelease()
 	cc.out.closeRelease()
 	cc.closeStash()
-	if s.cfg.Writer != nil && cc.handle != nil {
-		s.cfg.Writer.ClientClosed(cc.handle)
-	}
 	mc.emit(s)
 }
 
@@ -1238,20 +1193,12 @@ func (s *Session) routeCtrl(cc *clientConn, fb *FrameBuf) {
 	cc.ctrl.push(fb)
 }
 
-// notifyWriter wakes whichever writer drains cc's queues: the external
-// scheduler's edge trigger, or the dedicated writer's wakeup token.
-// External notifies are suppressed until the welcome frame is on the wire;
-// ServePending notifies once after it.
+// notifyWriter hands cc to the session's writer for a drain. Notifies are
+// suppressed until the welcome frame is on the wire; ServePending notifies
+// once after it.
 func (s *Session) notifyWriter(cc *clientConn) {
-	if s.cfg.Writer != nil {
-		if cc.handle != nil && cc.welcomed.Load() {
-			s.cfg.Writer.ClientReady(cc.handle)
-		}
-		return
-	}
-	select {
-	case cc.ready <- struct{}{}:
-	default:
+	if cc.welcomed.Load() {
+		s.cfg.Writer.ClientReady(cc.handle)
 	}
 }
 
@@ -1267,9 +1214,9 @@ func (s *Session) stampPush(fb *FrameBuf, pushed *atomic.Uint64) {
 }
 
 // broadcastSample fans a sample out to all clients, serializing it exactly
-// once into a pooled buffer: every client ring (and every batched writer
-// behind DrainBatch) holds a reference to the same bytes, so fan-out cost
-// is refcounted slot writes, not N encodings or N buffers. A slow client's
+// once into a pooled buffer: every client ring (and every pool writer mid
+// drain) holds a reference to the same bytes, so fan-out cost is
+// refcounted slot writes, not N encodings or N buffers. A slow client's
 // full ring overwrites its oldest entry so the freshest data always
 // survives a burst: "failures or slow operation of the visualization must
 // not disturb the simulation progress", and a client that falls behind sees
@@ -1443,6 +1390,11 @@ func (s *Session) Close() {
 	close(s.closeCh)
 	for _, cc := range clients {
 		cc.codec.close()
+	}
+	// After the conns: a writer blocked on a client's socket fails at once
+	// instead of waiting out its deadline.
+	if s.ownPool != nil {
+		s.ownPool.Close()
 	}
 }
 

@@ -6,17 +6,15 @@
 // (section 3.3): participants dial one endpoint and name a session; the hub
 // routes, the session steers.
 //
-// Scale comes from two structural decisions. First, the registry is sharded
-// by consistent-hashing session names onto N shards, each with its own lock,
-// dispatch goroutine and writer pool, so traffic for sessions on different
-// shards never serialises on anything shared. Second, sample fan-out is
-// batched: instead of core's one-writer-goroutine-per-client, each shard
-// runs a small writer pool that coalesces every client's queued envelopes —
-// pre-encoded []byte buffers under protocol v2's encode-once broadcasts —
-// into batched, buffered writes (core.ClientHandle.DrainBatch), keeping
-// core's drop-on-slow-client policy — a stalled viewer loses frames, never
-// stalls a simulation and never holds a pool writer beyond one write
-// deadline.
+// Scale comes from sharding: the registry is split by consistent-hashing
+// session names onto N shards, each with its own lock, dispatch goroutine
+// and core.WriterPool, so traffic for sessions on different shards never
+// serialises on anything shared. A shard's sessions share its pool — the
+// same pool a bare core.Session starts for itself — which coalesces every
+// client's queued pre-encoded envelopes into batched writes and keeps
+// core's drop-on-slow-client policy: a stalled viewer loses frames, never
+// stalls a simulation and never holds a pool writer beyond one
+// ControlTimeout.
 package hub
 
 import (
@@ -40,12 +38,6 @@ type Config struct {
 	// Shards is the number of session shards; 0 selects GOMAXPROCS capped
 	// at 8.
 	Shards int
-	// WritersPerShard sizes each shard's writer pool; 0 selects 4.
-	WritersPerShard int
-	// WriteBatch bounds envelopes coalesced per client write; 0 selects 32.
-	WriteBatch int
-	// WriteTimeout bounds one batched write to a client; 0 selects 2s.
-	WriteTimeout time.Duration
 	// HandshakeTimeout bounds reading a connection's attach frame; 0
 	// selects 5s.
 	HandshakeTimeout time.Duration
@@ -90,15 +82,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.WritersPerShard <= 0 {
-		c.WritersPerShard = 4
-	}
-	if c.WriteBatch <= 0 {
-		c.WriteBatch = 32
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 2 * time.Second
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
@@ -209,7 +192,7 @@ func New(cfg Config) *Hub {
 		hsSem:          make(chan struct{}, cfg.MaxHandshakes),
 	}
 	for i := range h.shards {
-		h.shards[i] = newShard(i, cfg.WritersPerShard, cfg.WriteBatch, cfg)
+		h.shards[i] = newShard(i, cfg)
 	}
 	return h
 }
@@ -220,9 +203,9 @@ func New(cfg Config) *Hub {
 func (h *Hub) ShardOf(name string) int { return h.ring.lookup(name) }
 
 // CreateSession creates and registers a session on its home shard. The
-// session's queues are drained by the shard's writer pool; cfg.Writer must
-// be nil. The first session created becomes the default for clients that
-// attach without naming one.
+// session's queues are drained by the shard's writer pool, which replaces
+// any cfg.Writer. The first session created becomes the default for clients
+// that attach without naming one.
 //
 // With Config.JournalDir set the session gets a durable journal (an
 // existing log directory for the name is recovered, so re-creating an
@@ -234,9 +217,6 @@ func (h *Hub) CreateSession(cfg core.SessionConfig) (*core.Session, error) {
 	}
 	if cfg.Name == "" {
 		return nil, errors.New("hub: session needs a name")
-	}
-	if cfg.Writer != nil {
-		return nil, errors.New("hub: session writer is owned by the hub")
 	}
 	if cfg.SampleQueue <= 0 {
 		cfg.SampleQueue = h.cfg.SessionDefaults.SampleQueue

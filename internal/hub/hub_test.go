@@ -286,10 +286,11 @@ func TestEviction(t *testing.T) {
 
 // TestBatchedFanout exercises the per-shard writer pools: one session, many
 // clients, a burst of samples; every client sees the freshest data and the
-// hub's aggregate stats record the fan-out.
+// hub's aggregate stats record the fan-out. (The small-pool continuation
+// path is core's TestWriterPoolSmallBatches.)
 func TestBatchedFanout(t *testing.T) {
 	const nClients = 10
-	h, addr := testHub(t, Config{Shards: 2, WritersPerShard: 2, WriteBatch: 8})
+	h, addr := testHub(t, Config{Shards: 2})
 	sess, err := h.CreateSession(core.SessionConfig{Name: "burst", SampleQueue: 8})
 	if err != nil {
 		t.Fatal(err)

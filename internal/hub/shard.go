@@ -17,7 +17,7 @@ import (
 // shared fsync.
 type shard struct {
 	id     int
-	pool   *writerPool
+	pool   *core.WriterPool
 	syncer *journal.Syncer // nil when journaling is off
 
 	mu       sync.Mutex
@@ -43,10 +43,10 @@ type sessionEntry struct {
 	gone chan struct{}
 }
 
-func newShard(id, writers, batch int, cfg Config) *shard {
+func newShard(id int, cfg Config) *shard {
 	sh := &shard{
 		id:       id,
-		pool:     newWriterPool(writers, batch, cfg.WriteTimeout),
+		pool:     core.NewWriterPool(),
 		sessions: make(map[string]*sessionEntry),
 		conns:    make(chan *core.PendingConn, 64),
 		closeCh:  make(chan struct{}),
@@ -186,7 +186,7 @@ func (sh *shard) close() {
 	for _, e := range entries {
 		e.sess.Close()
 	}
-	sh.pool.close()
+	sh.pool.Close()
 	if sh.syncer != nil {
 		sh.syncer.Close()
 	}
