@@ -126,6 +126,9 @@ bench-smoke:
 		&& echo "$$out" | grep -q 'BenchmarkBroadcastInterest$$' \
 		&& echo "$$out" | grep -q BenchmarkEgressWritev \
 		|| { echo 'bench-smoke: broadcast hot-path benchmarks missing'; exit 1; }
+	@out=$$($(GO) test -run '^$$' -list 'BenchmarkEnvelopeDecode' ./internal/core); \
+	echo "$$out" | grep -q 'BenchmarkEnvelopeDecode$$' \
+		|| { echo 'bench-smoke: envelope decode benchmark missing'; exit 1; }
 	@out=$$($(GO) test -run '^$$' -list 'BenchmarkE12_CollaborationScaling' .); \
 	echo "$$out" | grep -q BenchmarkE12_CollaborationScaling \
 		|| { echo 'bench-smoke: E12 live-hub collaboration benchmark missing'; exit 1; }
@@ -164,6 +167,7 @@ fuzz-smoke:
 	@status=0; \
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wire || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeRoundTrip -fuzztime $(FUZZTIME) ./internal/core || status=1; \
+	$(GO) test -run '^$$' -fuzz FuzzEnvelopeStream -fuzztime $(FUZZTIME) ./internal/core || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzFloorFrames -fuzztime $(FUZZTIME) ./internal/core || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTiles -fuzztime $(FUZZTIME) ./internal/pixel || status=1; \
 	exit $$status

@@ -36,7 +36,7 @@ func FuzzFloorFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame, tail []byte) {
 		dec := wire.NewDecoder(bytes.NewReader(append(frame, tail...)))
 		dec.SetLimits(serverLimits)
-		e, err := decodeEnvelope(dec, serverEnvelopeBudget)
+		e, err := decodeEnvelope(dec, serverEnvelopeBudget, new(envScratch))
 		if err != nil {
 			return // hostile input rejected at the codec: the common, good case
 		}

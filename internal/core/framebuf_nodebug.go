@@ -13,3 +13,7 @@ const FramePoison = 0xDB
 // poisonFrame is a no-op in normal builds: releasing a frame to the pool
 // leaves its bytes untouched.
 func poisonFrame([]byte) {}
+
+// poisonScratch is a no-op in normal builds: a reset decode scratch keeps
+// its stale numbers until the next envelope overwrites them.
+func poisonScratch(*envScratch) {}

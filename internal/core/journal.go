@@ -81,10 +81,26 @@ func journalClassOf(t msgType) JournalClass {
 	}
 }
 
-// decodeFrame decodes one journaled envelope from its recorded bytes, under
-// the same limits a client applies to session traffic.
-func decodeFrame(frame []byte) (*envelope, error) {
-	return decodeEnvelope(wire.NewDecoder(bytes.NewReader(frame)), clientEnvelopeBudget)
+// frameDecoder decodes journaled envelopes from their recorded bytes, under
+// the same limits a client applies to session traffic. One serves a whole
+// replay: its reader, wire decoder (with that decoder's two 32 KB buffers)
+// and scratch are reused from frame to frame.
+type frameDecoder struct {
+	rd      bytes.Reader
+	dec     *wire.Decoder
+	scratch envScratch
+}
+
+func newFrameDecoder() *frameDecoder {
+	fd := &frameDecoder{}
+	fd.dec = wire.NewDecoder(&fd.rd)
+	return fd
+}
+
+func (fd *frameDecoder) decode(frame []byte) (*envelope, error) {
+	fd.rd.Reset(frame)
+	fd.dec.Reset(&fd.rd)
+	return decodeEnvelope(fd.dec, clientEnvelopeBudget, &fd.scratch)
 }
 
 // SnapshotFrames encodes the session's full steerable state — the complete
@@ -127,8 +143,9 @@ func (s *Session) Recover() (int, error) {
 	}
 	applied := 0
 	var firstErr error
+	fd := newFrameDecoder()
 	s.cfg.Journal.Replay(func(class JournalClass, frame []byte) bool {
-		e, err := decodeFrame(frame)
+		e, err := fd.decode(frame)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -733,7 +733,10 @@ func appendSample(buf []byte, s *Sample) []byte {
 	return buf
 }
 
-// parseSample assembles the sample group back into a Sample.
+// parseSample assembles the sample group back into a Sample. The data
+// frames may live in decode scratch, so they are copied out into one
+// backing array the sample owns; each channel gets a capacity-capped window
+// of it, so appending to one channel's Data cannot overwrite another's.
 func parseSample(meta []int64, names []string, data [][]float64) (*Sample, error) {
 	if len(meta) < 2 {
 		return nil, fmt.Errorf("%w: sample meta count %d", errMalformed, len(meta))
@@ -743,11 +746,19 @@ func parseSample(meta []int64, names []string, data [][]float64) (*Sample, error
 	if int64(n) != meta[1] || len(meta) != 2+3*n || len(data) != n {
 		return nil, fmt.Errorf("%w: sample group counts %d/%d/%d", errMalformed, len(meta), len(names), len(data))
 	}
+	total := 0
+	for _, d := range data {
+		total += len(d)
+	}
+	backing := make([]float64, total)
 	s := &Sample{Step: meta[0], Channels: make(map[string]Channel, n)}
 	for i, name := range names {
+		d := backing[:len(data[i]):len(data[i])]
+		backing = backing[len(d):]
+		copy(d, data[i])
 		s.Channels[name] = Channel{
 			Dims: [3]int{int(meta[2+3*i]), int(meta[3+3*i]), int(meta[4+3*i])},
-			Data: data[i],
+			Data: d,
 		}
 	}
 	return s, nil
@@ -769,9 +780,9 @@ func appendBlob(buf []byte, b *Blob) []byte {
 	return wire.AppendBytes(buf, tagBlobData, b.Data)
 }
 
-// parseBlob assembles the blob group back into a Blob. The data slice
-// aliases the decoder's per-message allocation; callers that retain it past
-// the envelope dispatch own it outright (the decoder never recycles it).
+// parseBlob assembles the blob group back into a Blob. The data slice is
+// the decoder's exact-size allocation for it, never scratch: callers that
+// retain it past the envelope dispatch own it outright.
 func parseBlob(strs []string, meta []int64, data [][]byte) (*Blob, error) {
 	if len(meta) != 6 || len(data) != 1 {
 		return nil, fmt.Errorf("%w: blob group counts %d/%d", errMalformed, len(meta), len(data))
@@ -795,23 +806,108 @@ func parseBlob(strs []string, meta []int64, data [][]byte) (*Blob, error) {
 
 // ---- decoding ----
 
-// decodeEnvelope reads one envelope from dec, refusing to retain more than
-// budget payload bytes across its field frames. A bad magic maps to
-// ErrVersionMismatch: the stream is not protocol v2 (a gob v1 client, an
-// HTTP probe...). An unsupported header version also fails with
-// ErrVersionMismatch, wrapped with the offered version.
-func decodeEnvelope(dec *wire.Decoder, budget int) (*envelope, error) {
-	hdr, err := dec.Next()
+// scratchRetainBytes bounds the decode scratch an envScratch keeps between
+// envelopes. A larger envelope (a bulk sample of more than ~8k values, or a
+// hostile frame at the client side's generous limits) grows the arenas as
+// it needs, and they are dropped once it is decoded instead of being pinned
+// for the life of the connection.
+const scratchRetainBytes = 64 << 10
+
+// envScratch is the storage decodeEnvelope reads field frames into, one
+// arena per payload kind the envelope uses, reused from envelope to
+// envelope. A codec owns one for its connection. Nothing in it outlives the
+// decodeEnvelope call that filled it: what an envelope hands on is copied
+// out (sample data), separately allocated (blob data) or immutable and
+// shared (strings, interned by the wire decoder). Blob slots hold the
+// decoder's fresh allocations only until the envelope takes them.
+type envScratch struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+	blobs  [][]byte
+	// smData holds the sample's data frames, windows on floats.
+	smData [][]float64
+}
+
+// next reads one frame's header and payload into m, the payload into the
+// arenas. The payload slices are capacity-capped windows, so a later
+// frame's append cannot write into them. Kinds no field group uses (int32,
+// float32, bool) are read into a throwaway message: the stream stays framed
+// and the envelope budget still counts them.
+func (sc *envScratch) next(dec *wire.Decoder, m *wire.Message) error {
+	h, err := dec.ReadHeader()
 	if err != nil {
+		return err
+	}
+	*m = wire.Message{Header: h}
+	switch h.Kind {
+	case wire.KindInt64:
+		start := len(sc.ints)
+		sc.ints, err = dec.ReadInt64s(sc.ints, h)
+		m.Int64s = sc.ints[start:len(sc.ints):len(sc.ints)]
+	case wire.KindFloat64:
+		start := len(sc.floats)
+		sc.floats, err = dec.ReadFloat64s(sc.floats, h)
+		m.Float64s = sc.floats[start:len(sc.floats):len(sc.floats)]
+	case wire.KindString:
+		start := len(sc.strs)
+		sc.strs, err = dec.ReadStrings(sc.strs, h)
+		m.Strings = sc.strs[start:len(sc.strs):len(sc.strs)]
+	case wire.KindBytes:
+		start := len(sc.blobs)
+		sc.blobs, err = dec.ReadBlobs(sc.blobs, h)
+		m.Blobs = sc.blobs[start:len(sc.blobs):len(sc.blobs)]
+	default:
+		var p *wire.Message
+		if p, err = dec.ReadPayload(h); err == nil {
+			*m = *p
+		}
+	}
+	return err
+}
+
+// reset empties the scratch for the next envelope: string, blob and
+// sample-data slots drop their references (a long string or a blob must not
+// stay reachable from the connection), the framedebug build poisons the
+// arenas so a window that escaped without a copy reads garbage, and arenas
+// one envelope grew past scratchRetainBytes go back to the collector.
+func (sc *envScratch) reset() {
+	clear(sc.strs)
+	clear(sc.blobs)
+	clear(sc.smData)
+	poisonScratch(sc)
+	if sc.retained() > scratchRetainBytes {
+		*sc = envScratch{}
+		return
+	}
+	sc.ints, sc.floats, sc.strs = sc.ints[:0], sc.floats[:0], sc.strs[:0]
+	sc.blobs, sc.smData = sc.blobs[:0], sc.smData[:0]
+}
+
+// retained is the scratch's footprint in bytes: its arenas' capacities.
+func (sc *envScratch) retained() int {
+	return 8*cap(sc.ints) + 8*cap(sc.floats) + 16*cap(sc.strs) + 24*cap(sc.blobs) + 24*cap(sc.smData)
+}
+
+// decodeEnvelope reads one envelope from dec into sc, refusing to retain
+// more than budget payload bytes across its field frames, and leaves sc
+// empty for the next one. A bad magic maps to ErrVersionMismatch: the
+// stream is not protocol v2 (a gob v1 client, an HTTP probe...). An
+// unsupported header version also fails with ErrVersionMismatch, wrapped
+// with the offered version.
+func decodeEnvelope(dec *wire.Decoder, budget int, sc *envScratch) (*envelope, error) {
+	defer sc.reset()
+	var m wire.Message
+	if err := sc.next(dec, &m); err != nil {
 		if errors.Is(err, wire.ErrBadMagic) {
 			return nil, fmt.Errorf("%w: %v", ErrVersionMismatch, err)
 		}
 		return nil, err
 	}
-	if hdr.Header.Tag != tagHeader || hdr.Header.Kind != wire.KindInt64 || len(hdr.Int64s) < 6 {
-		return nil, fmt.Errorf("%w: expected envelope header, got tag %d", errMalformed, hdr.Header.Tag)
+	if m.Header.Tag != tagHeader || m.Header.Kind != wire.KindInt64 || len(m.Int64s) < 6 {
+		return nil, fmt.Errorf("%w: expected envelope header, got tag %d", errMalformed, m.Header.Tag)
 	}
-	h := hdr.Int64s
+	h := m.Int64s
 	version := uint32(h[0])
 	if version < minProtoVersion || version > ProtoVersion {
 		return nil, fmt.Errorf("%w: peer speaks v%d, this endpoint speaks v%d (accepts v%d..v%d)",
@@ -836,7 +932,6 @@ func decodeEnvelope(dec *wire.Decoder, budget int) (*envelope, error) {
 		pStr, sStr, vKeys   []string
 		smMeta              []int64
 		smNames             []string
-		smData              [][]float64
 		floorMeta           []int64
 		attachExt           []int64
 		subKinds            []int64
@@ -845,11 +940,10 @@ func decodeEnvelope(dec *wire.Decoder, budget int) (*envelope, error) {
 		blobData            [][]byte
 	)
 	for i := int64(0); i < nframes; i++ {
-		m, err := dec.Next()
-		if err != nil {
+		if err := sc.next(dec, &m); err != nil {
 			return nil, err
 		}
-		if budget -= messageBytes(m); budget < 0 {
+		if budget -= messageBytes(&m); budget < 0 {
 			return nil, fmt.Errorf("%w: envelope exceeds payload budget", errMalformed)
 		}
 		switch m.Header.Tag {
@@ -878,7 +972,7 @@ func decodeEnvelope(dec *wire.Decoder, budget int) (*envelope, error) {
 		case tagSampleName:
 			smNames = m.Strings
 		case tagSampleData:
-			smData = append(smData, m.Float64s)
+			sc.smData = append(sc.smData, m.Float64s)
 		case tagFloor:
 			floorMeta = m.Int64s
 		case tagAttachExt:
@@ -901,6 +995,7 @@ func decodeEnvelope(dec *wire.Decoder, budget int) (*envelope, error) {
 		}
 		return ""
 	}
+	var err error
 	switch e.Type {
 	case msgAttach:
 		e.Attach = &attachMsg{
@@ -963,7 +1058,7 @@ func decodeEnvelope(dec *wire.Decoder, budget int) (*envelope, error) {
 		}
 		e.Welcome = w
 	case msgSample:
-		if e.Sample, err = parseSample(smMeta, smNames, smData); err != nil {
+		if e.Sample, err = parseSample(smMeta, smNames, sc.smData); err != nil {
 			return nil, err
 		}
 	case msgBlob:
@@ -1091,6 +1186,9 @@ type codec struct {
 	wmu  sync.Mutex
 	// budget bounds the payload bytes one inbound envelope may retain.
 	budget int
+	// scratch is the connection's decode storage, reused by every read
+	// (reads are sequential: one reader per connection).
+	scratch envScratch
 	// enc is the reusable scratch buffer for per-client envelope writes
 	// (handshake frames, acks); broadcasts arrive pre-encoded.
 	enc []byte
@@ -1291,6 +1389,6 @@ func (c *codec) lockWrites()   { c.wmu.Lock() }
 func (c *codec) unlockWrites() { c.wmu.Unlock() }
 
 // read receives the next envelope.
-func (c *codec) read() (*envelope, error) { return decodeEnvelope(c.dec, c.budget) }
+func (c *codec) read() (*envelope, error) { return decodeEnvelope(c.dec, c.budget, &c.scratch) }
 
 func (c *codec) close() error { return c.conn.Close() }

@@ -128,6 +128,7 @@ func BenchmarkProtocolCodec(b *testing.B) {
 		rd := bytes.NewReader(buf)
 		dec := wire.NewDecoder(rd)
 		var scratch []byte
+		var sc envScratch // one per connection, as a codec keeps it
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -136,11 +137,77 @@ func BenchmarkProtocolCodec(b *testing.B) {
 			}
 			rd.Reset(scratch)
 			dec.Reset(rd)
-			if _, err := decodeEnvelope(dec, clientEnvelopeBudget); err != nil {
+			if _, err := decodeEnvelope(dec, clientEnvelopeBudget, &sc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// benchScalarSample is the sample steerbench's application emits every
+// step: four scalar channels, ~350 bytes on the wire. It is what a late
+// joiner decodes over and over while replaying the journal.
+func benchScalarSample() *Sample {
+	s := NewSample(12345)
+	s.Channels["kinetic"] = Scalar(1.25)
+	s.Channels["particles"] = Scalar(200)
+	s.Channels["interactions"] = Scalar(19900)
+	s.Channels["echo"] = Scalar(42)
+	return s
+}
+
+// decodeCase is one encoded envelope to decode.
+type decodeCase struct {
+	name string
+	buf  []byte
+}
+
+// envelopeDecodeCases are the encoded shapes BenchmarkEnvelopeDecode and
+// TestSampleDecodeAllocBound decode: the replay-dominant scalar sample, a
+// bulk sample, and a small control update.
+func envelopeDecodeCases(tb testing.TB) []decodeCase {
+	var cases []decodeCase
+	for _, tc := range []struct {
+		name string
+		e    *envelope
+	}{
+		{"sample-4scalar", &envelope{Type: msgSample, Sample: benchScalarSample()}},
+		{"sample-4096", &envelope{Type: msgSample, Sample: benchSample(4096)}},
+		{"param-update", &envelope{Type: msgParamUpdate, Params: []Param{
+			{Name: "miscibility-g", Type: FloatParam, Value: FloatValue(4.5), Min: 0, Max: 6, Help: "coupling"},
+		}}},
+	} {
+		buf, err := encodeEnvelope(nil, tc.e)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cases = append(cases, decodeCase{tc.name, buf})
+	}
+	return cases
+}
+
+// sinkEnvelope keeps the benchmark's decode result live.
+var sinkEnvelope *envelope
+
+// BenchmarkEnvelopeDecode measures the client-side decode a late joiner
+// pays per replayed frame, through one reused decoder and scratch: a
+// connection's steady state.
+func BenchmarkEnvelopeDecode(b *testing.B) {
+	for _, tc := range envelopeDecodeCases(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			fd := newFrameDecoder()
+			b.SetBytes(int64(len(tc.buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := fd.decode(tc.buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkEnvelope = e
+			}
+		})
+	}
 }
 
 // BenchmarkProtocolFanout pins the encode-once property: broadcasting one

@@ -68,7 +68,7 @@ func TestEnvelopeRoundTripTypes(t *testing.T) {
 			cli.Write(buf)
 			cli.Close()
 		}()
-		got, err := decodeEnvelope(wire.NewDecoder(srv), clientEnvelopeBudget)
+		got, err := decodeEnvelope(wire.NewDecoder(srv), clientEnvelopeBudget, new(envScratch))
 		if err != nil {
 			t.Fatalf("decode type %d: %v", e.Type, err)
 		}
@@ -232,7 +232,7 @@ func TestAcceptConnRejectsBadMagic(t *testing.T) {
 	}()
 	go cli.Write([]byte("GET /steer HTTP/1.1\r\nHost: nope\r\n\r\n"))
 	// The server answers with a best-effort version-coded ack before closing.
-	reply, err := decodeEnvelope(wire.NewDecoder(cli), clientEnvelopeBudget)
+	reply, err := decodeEnvelope(wire.NewDecoder(cli), clientEnvelopeBudget, new(envScratch))
 	if err != nil {
 		t.Fatalf("reading rejection: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestAcceptConnRejectsWrongVersion(t *testing.T) {
 		errCh <- err
 	}()
 	go cli.Write(buf)
-	reply, err := decodeEnvelope(wire.NewDecoder(cli), clientEnvelopeBudget)
+	reply, err := decodeEnvelope(wire.NewDecoder(cli), clientEnvelopeBudget, new(envScratch))
 	if err != nil {
 		t.Fatalf("reading rejection: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestAcceptConnRejectsV2(t *testing.T) {
 		errCh <- err
 	}()
 	go cli.Write(buf)
-	reply, err := decodeEnvelope(wire.NewDecoder(cli), clientEnvelopeBudget)
+	reply, err := decodeEnvelope(wire.NewDecoder(cli), clientEnvelopeBudget, new(envScratch))
 	if err != nil {
 		t.Fatalf("reading rejection: %v", err)
 	}

@@ -3,6 +3,11 @@ package core
 // Channel is one named data array inside a Sample: a scalar field, particle
 // coordinate block, or monitored quantity. Dims gives the logical shape;
 // scalars use Dims = [3]int{1, 1, 1}.
+//
+// In a received sample, every channel's Data is a window on one backing
+// array the decoder allocated for that sample; the consumer owns it. Each
+// window's capacity ends at its length, so appending to one channel's Data
+// copies instead of writing into the next channel's.
 type Channel struct {
 	Dims [3]int
 	Data []float64
@@ -24,6 +29,10 @@ func (c Channel) Value() float64 {
 // Sample is what the simulation emits for consumption by visualization
 // components: "the simulation component periodically (or as demanded by the
 // steerer component) emits 'samples'" (section 2.1).
+//
+// A sample received from a session (Client.Samples) belongs to the
+// consumer: its channels share one backing array that no later decode
+// reuses.
 type Sample struct {
 	// Step is the simulation timestep the sample was taken at.
 	Step int64

@@ -10,6 +10,13 @@ import (
 
 // A Decoder reads messages from an input stream. It is not safe for
 // concurrent use.
+//
+// Next returns each message in slices the caller owns. Receivers that
+// decode a steady stream into storage of their own read the header with
+// ReadHeader and the payload with the typed reader for its kind
+// (ReadInt64s, ReadFloat64s, ReadStrings, ReadBlobs), which append to a
+// slice the caller supplies and reuses; Next is ReadHeader plus
+// ReadPayload, which runs the same readers on fresh slices.
 type Decoder struct {
 	r      *bufio.Reader
 	hdr    [headerSize]byte
@@ -17,7 +24,25 @@ type Decoder struct {
 	// scratch is the reused chunk buffer for fixed-size payloads; its size
 	// bounds how much is read (and allocated) ahead of conversion.
 	scratch []byte
+	// lenBuf receives one variable-length element's length prefix, and
+	// strBuf the bytes of one short string while it is looked up in intern.
+	lenBuf [4]byte
+	strBuf [maxInternLen]byte
+	// intern maps short strings this decoder has returned to the one copy
+	// it returned, so names that repeat on every frame (channels,
+	// parameters, streams) are allocated once. Strings are immutable, so
+	// handing the same copy to several messages is safe.
+	intern map[string]string
 }
+
+// maxInternLen and maxInternEntries bound the intern table: only strings of
+// at most maxInternLen bytes are interned, and a table that reaches
+// maxInternEntries is cleared rather than grown, so a peer sending ever-new
+// strings costs what it did without the table and never grows it.
+const (
+	maxInternLen     = 64
+	maxInternEntries = 128
+)
 
 // NewDecoder returns a Decoder reading from r with the default Limits.
 func NewDecoder(r io.Reader) *Decoder {
@@ -35,8 +60,9 @@ func NewDecoder(r io.Reader) *Decoder {
 // their payload is allocated.
 func (d *Decoder) SetLimits(l Limits) { d.limits = l.withDefaults() }
 
-// Reset points the decoder at a new stream, keeping its limits and scratch
-// buffer: the reuse hook for pooled connections and benchmarks.
+// Reset points the decoder at a new stream, keeping its limits, scratch
+// buffer and intern table: the reuse hook for pooled connections, journal
+// replay and benchmarks.
 func (d *Decoder) Reset(r io.Reader) {
 	if br, ok := r.(*bufio.Reader); ok {
 		d.r = br
@@ -54,8 +80,14 @@ func (d *Decoder) Reset(r io.Reader) {
 // huge allocation: slices grow with the stream instead.
 const allocChunk = 8192
 
-// readHeader reads and validates one message header.
-func (d *Decoder) readHeader() (Header, error) {
+// chunkBytes is the size of the reused chunk buffer fixed-size payloads are
+// read through.
+const chunkBytes = 32 << 10
+
+// ReadHeader reads and validates the next message header. Its payload must
+// be consumed next, with ReadPayload or the typed reader for Header.Kind,
+// before the following header is read.
+func (d *Decoder) ReadHeader() (Header, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return Header{}, err
 	}
@@ -85,60 +117,39 @@ func (d *Decoder) readHeader() (Header, error) {
 	return h, nil
 }
 
-// Next reads the next message, whatever its tag and kind.
+// Next reads the next message, whatever its tag and kind, into slices the
+// caller owns.
 func (d *Decoder) Next() (*Message, error) {
-	h, err := d.readHeader()
+	h, err := d.ReadHeader()
 	if err != nil {
 		return nil, err
 	}
+	return d.ReadPayload(h)
+}
+
+// ReadPayload reads the payload of the message whose header ReadHeader just
+// returned into fresh slices the caller owns.
+func (d *Decoder) ReadPayload(h Header) (*Message, error) {
 	m := &Message{Header: h}
-	n := int(h.Count)
+	c := min(int(h.Count), allocChunk)
+	var err error
 	switch h.Kind {
 	case KindInt32:
-		m.Int32s = make([]int32, 0, min(n, allocChunk))
-		err = d.readFixed(n, 4, func(b []byte) {
-			m.Int32s = append(m.Int32s, int32(binary.BigEndian.Uint32(b)))
-		})
+		m.Int32s, err = d.readInt32s(make([]int32, 0, c), h)
 	case KindInt64:
-		m.Int64s = make([]int64, 0, min(n, allocChunk))
-		err = d.readFixed(n, 8, func(b []byte) {
-			m.Int64s = append(m.Int64s, int64(binary.BigEndian.Uint64(b)))
-		})
+		m.Int64s, err = d.ReadInt64s(make([]int64, 0, c), h)
 	case KindFloat32:
-		m.Float32s = make([]float32, 0, min(n, allocChunk))
-		err = d.readFixed(n, 4, func(b []byte) {
-			m.Float32s = append(m.Float32s, math.Float32frombits(binary.BigEndian.Uint32(b)))
-		})
+		m.Float32s, err = d.readFloat32s(make([]float32, 0, c), h)
 	case KindFloat64:
-		m.Float64s = make([]float64, 0, min(n, allocChunk))
-		err = d.readFixed(n, 8, func(b []byte) {
-			m.Float64s = append(m.Float64s, math.Float64frombits(binary.BigEndian.Uint64(b)))
-		})
+		m.Float64s, err = d.ReadFloat64s(make([]float64, 0, c), h)
 	case KindBool:
-		m.Bools = make([]bool, 0, min(n, allocChunk))
-		err = d.readFixed(n, 1, func(b []byte) {
-			m.Bools = append(m.Bools, b[0] != 0)
-		})
+		m.Bools, err = d.readBools(make([]bool, 0, c), h)
 	case KindString:
-		m.Strings = make([]string, 0, min(n, allocChunk))
-		budget := d.limits.MaxPayload
-		for i := 0; i < n; i++ {
-			var s []byte
-			if s, err = d.readBlob(&budget); err != nil {
-				break
-			}
-			m.Strings = append(m.Strings, string(s))
-		}
+		m.Strings, err = d.ReadStrings(make([]string, 0, c), h)
 	case KindBytes:
-		m.Blobs = make([][]byte, 0, min(n, allocChunk))
-		budget := d.limits.MaxPayload
-		for i := 0; i < n; i++ {
-			var b []byte
-			if b, err = d.readBlob(&budget); err != nil {
-				break
-			}
-			m.Blobs = append(m.Blobs, b)
-		}
+		m.Blobs, err = d.ReadBlobs(make([][]byte, 0, c), h)
+	default:
+		err = ErrBadKind
 	}
 	if err != nil {
 		return nil, err
@@ -146,48 +157,205 @@ func (d *Decoder) Next() (*Message, error) {
 	return m, nil
 }
 
-// readFixed streams n elements of size sz bytes each through emit, reading
-// the payload in bounded chunks so allocation tracks the bytes actually
-// received rather than the count a (possibly hostile) header claims.
-func (d *Decoder) readFixed(n, sz int, emit func([]byte)) error {
-	const chunkBytes = 32 << 10
-	if cap(d.scratch) < chunkBytes {
-		d.scratch = make([]byte, chunkBytes)
+// The typed readers append the payload of the message whose header
+// ReadHeader just returned to dst and return the extended slice. A header
+// of another kind fails with ErrKindClash and consumes nothing. dst grows
+// with the data actually read, never with the count the header claims.
+
+// readInt32s appends an int32 payload to dst.
+func (d *Decoder) readInt32s(dst []int32, h Header) ([]int32, error) {
+	if err := h.expect(KindInt32); err != nil {
+		return dst, err
 	}
-	for n > 0 {
-		c := min(n, chunkBytes/sz)
-		buf := d.scratch[:c*sz]
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return err
+	for left := int(h.Count); left > 0; {
+		buf, err := d.chunk(&left, 4)
+		if err != nil {
+			return dst, err
 		}
-		for off := 0; off < len(buf); off += sz {
-			emit(buf[off : off+sz])
+		for ; len(buf) >= 4; buf = buf[4:] {
+			dst = append(dst, int32(binary.BigEndian.Uint32(buf)))
 		}
-		n -= c
+	}
+	return dst, nil
+}
+
+// ReadInt64s appends an int64 payload to dst.
+func (d *Decoder) ReadInt64s(dst []int64, h Header) ([]int64, error) {
+	if err := h.expect(KindInt64); err != nil {
+		return dst, err
+	}
+	for left := int(h.Count); left > 0; {
+		buf, err := d.chunk(&left, 8)
+		if err != nil {
+			return dst, err
+		}
+		for ; len(buf) >= 8; buf = buf[8:] {
+			dst = append(dst, int64(binary.BigEndian.Uint64(buf)))
+		}
+	}
+	return dst, nil
+}
+
+// readFloat32s appends a float32 payload to dst.
+func (d *Decoder) readFloat32s(dst []float32, h Header) ([]float32, error) {
+	if err := h.expect(KindFloat32); err != nil {
+		return dst, err
+	}
+	for left := int(h.Count); left > 0; {
+		buf, err := d.chunk(&left, 4)
+		if err != nil {
+			return dst, err
+		}
+		for ; len(buf) >= 4; buf = buf[4:] {
+			dst = append(dst, math.Float32frombits(binary.BigEndian.Uint32(buf)))
+		}
+	}
+	return dst, nil
+}
+
+// ReadFloat64s appends a float64 payload to dst.
+func (d *Decoder) ReadFloat64s(dst []float64, h Header) ([]float64, error) {
+	if err := h.expect(KindFloat64); err != nil {
+		return dst, err
+	}
+	for left := int(h.Count); left > 0; {
+		buf, err := d.chunk(&left, 8)
+		if err != nil {
+			return dst, err
+		}
+		for ; len(buf) >= 8; buf = buf[8:] {
+			dst = append(dst, math.Float64frombits(binary.BigEndian.Uint64(buf)))
+		}
+	}
+	return dst, nil
+}
+
+// readBools appends a bool payload to dst.
+func (d *Decoder) readBools(dst []bool, h Header) ([]bool, error) {
+	if err := h.expect(KindBool); err != nil {
+		return dst, err
+	}
+	for left := int(h.Count); left > 0; {
+		buf, err := d.chunk(&left, 1)
+		if err != nil {
+			return dst, err
+		}
+		for _, b := range buf {
+			dst = append(dst, b != 0)
+		}
+	}
+	return dst, nil
+}
+
+// ReadStrings appends a string payload to dst. Strings of at most
+// maxInternLen bytes come from the decoder's intern table, so a name the
+// decoder has seen recently costs no allocation.
+func (d *Decoder) ReadStrings(dst []string, h Header) ([]string, error) {
+	if err := h.expect(KindString); err != nil {
+		return dst, err
+	}
+	budget := d.limits.MaxPayload
+	for i := uint32(0); i < h.Count; i++ {
+		n, err := d.readLen(&budget)
+		if err != nil {
+			return dst, err
+		}
+		s, err := d.readString(n)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, s)
+	}
+	return dst, nil
+}
+
+// ReadBlobs appends a bytes payload to dst, each element in its own
+// exact-size allocation the caller owns.
+func (d *Decoder) ReadBlobs(dst [][]byte, h Header) ([][]byte, error) {
+	if err := h.expect(KindBytes); err != nil {
+		return dst, err
+	}
+	budget := d.limits.MaxPayload
+	for i := uint32(0); i < h.Count; i++ {
+		n, err := d.readLen(&budget)
+		if err != nil {
+			return dst, err
+		}
+		b := make([]byte, n)
+		if _, err := io.ReadFull(d.r, b); err != nil {
+			return dst, err
+		}
+		dst = append(dst, b)
+	}
+	return dst, nil
+}
+
+// expect reports ErrKindClash unless the header carries kind k.
+func (h Header) expect(k Kind) error {
+	if h.Kind != k {
+		return fmt.Errorf("%w: %s message read as %s", ErrKindClash, h.Kind, k)
 	}
 	return nil
 }
 
-// readBlob reads one length-prefixed blob, charging prefix and data against
-// the message's remaining payload budget.
-func (d *Decoder) readBlob(budget *int) ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(d.r, lb[:]); err != nil {
+// chunk reads the next run of a fixed-size payload, at most chunkBytes,
+// into the reused chunk buffer, so allocation tracks the bytes actually
+// received rather than the count a (possibly hostile) header claims. left
+// counts the elements still unread and is decremented by the run's length.
+func (d *Decoder) chunk(left *int, sz int) ([]byte, error) {
+	if cap(d.scratch) < chunkBytes {
+		d.scratch = make([]byte, chunkBytes)
+	}
+	c := min(*left, chunkBytes/sz)
+	buf := d.scratch[:c*sz]
+	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lb[:])
+	*left -= c
+	return buf, nil
+}
+
+// readLen reads one variable-length element's length prefix, charging
+// prefix and data against the message's remaining payload budget.
+func (d *Decoder) readLen(budget *int) (int, error) {
+	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(d.lenBuf[:])
 	if int64(n) > int64(d.limits.MaxBlobLen) {
-		return nil, fmt.Errorf("%w: %d-byte blob (limit %d)", ErrTooLarge, n, d.limits.MaxBlobLen)
+		return 0, fmt.Errorf("%w: %d-byte blob (limit %d)", ErrTooLarge, n, d.limits.MaxBlobLen)
 	}
 	*budget -= 4 + int(n)
 	if *budget < 0 {
-		return nil, fmt.Errorf("%w: message payload exceeds %d bytes", ErrTooLarge, d.limits.MaxPayload)
+		return 0, fmt.Errorf("%w: message payload exceeds %d bytes", ErrTooLarge, d.limits.MaxPayload)
 	}
-	b := make([]byte, n)
+	return int(n), nil
+}
+
+// readString reads one n-byte string element, interning it when short.
+func (d *Decoder) readString(n int) (string, error) {
+	if n > maxInternLen {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(d.r, b); err != nil {
+			return "", err
+		}
+		return string(b), nil
+	}
+	b := d.strBuf[:n]
 	if _, err := io.ReadFull(d.r, b); err != nil {
-		return nil, err
+		return "", err
 	}
-	return b, nil
+	if s, ok := d.intern[string(b)]; ok {
+		return s, nil
+	}
+	s := string(b)
+	if d.intern == nil {
+		d.intern = make(map[string]string)
+	} else if len(d.intern) >= maxInternEntries {
+		clear(d.intern)
+	}
+	d.intern[s] = s
+	return s, nil
 }
 
 // Expect reads the next message and verifies its tag. A tag mismatch is a
