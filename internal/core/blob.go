@@ -1,6 +1,6 @@
 package core
 
-// Blob is the bulk binary frame class (protocol v5): an application-defined
+// Blob is the bulk binary frame class: an application-defined
 // payload — compressed pixel tiles, a rendered frame, geometry — broadcast
 // through the same refcounted FrameBuf fan-out as samples. Where a Sample
 // is a small map of named float channels (~100 bytes on the wire), a Blob
@@ -16,13 +16,12 @@ package core
 // chains, codec discriminators, tile geometry — the session never
 // interprets them.
 //
-// Blobs are delivered to v5+ clients only (older decoders reject the
-// message type) and are never journaled: blob streams are delta-coded by
+// Blobs are never journaled: blob streams are delta-coded by
 // their publisher, so a replayed delta without its keyframe is garbage —
 // publishers re-key late joiners instead (see JournalBlob).
 type Blob struct {
 	// Stream is the flow name and interest key; "" broadcasts keyless
-	// (every v5 client receives it regardless of subscriptions).
+	// (every client receives it regardless of subscriptions).
 	Stream string
 	// Seq is the publisher's sequence number within the stream.
 	Seq uint64

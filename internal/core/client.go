@@ -91,17 +91,17 @@ type AttachOptions struct {
 	// (that is what the lease is for; disable only to simulate a wedged
 	// client).
 	HeartbeatInterval time.Duration
-	// Tier selects the delivery tier (v4). The zero value, TierSteering,
+	// Tier selects the delivery tier. The zero value, TierSteering,
 	// delivers every frame inline; TierObserver delivers coalesced
 	// freshest-wins batches on the session's observer interval.
 	Tier Tier
-	// Subscriptions is the initial interest set (v4); empty means
+	// Subscriptions is the initial interest set; empty means
 	// subscribe-all. Param selectors are validated against the session's
 	// registry at attach — an unknown name rejects the attach with
 	// ErrUnknownParam. Subscribe/Unsubscribe adjust the set later.
 	Subscriptions []Subscription
-	// ReplayPolicy selects how much journal history to replay at attach
-	// (v4): everything (the zero value), events only, or none.
+	// ReplayPolicy selects how much journal history to replay at attach:
+	// everything (the zero value), events only, or none.
 	ReplayPolicy ReplayPolicy
 	// Sock tunes the TCP connection Dial creates (TCP_NODELAY stays on by
 	// default; buffer sizes and keep-alive per SockOpts). Ignored by
@@ -131,9 +131,8 @@ func Dial(ctx context.Context, addr string, opts AttachOptions) (*Client, error)
 
 // AttachContext performs the handshake under ctx: cancellation or deadline
 // expiry during the handshake fails the attach and closes conn. The
-// handshake carries the client's protocol version; an endpoint speaking a
-// different protocol (or not this protocol at all) fails with
-// ErrVersionMismatch.
+// handshake carries ProtoVersion; an endpoint speaking any other version
+// (or not this protocol at all) fails with ErrVersionMismatch.
 func AttachContext(ctx context.Context, conn net.Conn, opts AttachOptions) (*Client, error) {
 	if opts.SampleBuffer <= 0 {
 		opts.SampleBuffer = 16
@@ -414,7 +413,7 @@ func (c *Client) Events() []string {
 // oldest entries, never block the session.
 func (c *Client) Samples() <-chan *Sample { return c.samples }
 
-// Blobs returns the channel of incoming bulk frames (protocol v5): pixel
+// Blobs returns the channel of incoming bulk frames: pixel
 // tiles, rendered frames, geometry, keyed by stream name. Same
 // freshest-wins semantics as Samples — a slow consumer loses the oldest
 // queued blob, never blocks the session. The Data slice of a received blob

@@ -42,12 +42,6 @@ type FrameBuf struct {
 	// unpooled marks wrapper frames (NewFrame) whose bytes the pool must
 	// never recycle or poison: the caller owns the backing array.
 	unpooled bool
-	// minProto, when non-zero, is the lowest protocol version whose decoder
-	// understands this frame; fan-out (inline and relay) skips clients
-	// attached below it instead of killing their read loops with an unknown
-	// message type. Zero — every frame class that predates v5 — delivers to
-	// everyone.
-	minProto uint32
 	// push marks the first sample (and first blob) broadcast after an applied
 	// steer: observer-tier delivery flushes it at once instead of holding it
 	// for the coalescing interval (see relay.go). Steering-tier delivery,
@@ -118,7 +112,6 @@ func GetFrame(capHint int) *FrameBuf {
 	}
 	fb.b = fb.b[:0]
 	fb.keys = fb.keys[:0]
-	fb.minProto = 0
 	fb.push = false
 	fb.refs.Store(1)
 	return fb
@@ -202,7 +195,6 @@ func (f *FrameBuf) Release() {
 		f.keys[i] = ""
 	}
 	f.keys = f.keys[:0]
-	f.minProto = 0
 	f.push = false
 	framePools[cls].Put(f)
 }

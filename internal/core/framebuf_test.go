@@ -52,17 +52,16 @@ func TestFrameBufPoolReuse(t *testing.T) {
 }
 
 // TestFrameBufStampsDoNotSurvivePoolReuse: a frame's delivery stamps — push,
-// minProto, interest keys — describe one broadcast; whichever broadcast
-// draws the buffer next must start clean, or an unsteered sample would be
-// pushed (or a sample withheld from pre-v5 peers) on a recycled buffer's
-// say-so.
+// interest keys — describe one broadcast; whichever broadcast draws the
+// buffer next must start clean, or an unsteered sample would be pushed (or
+// filtered by another frame's keys) on a recycled buffer's say-so.
 func TestFrameBufStampsDoNotSurvivePoolReuse(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		fb := GetFrame(128)
-		if fb.push || fb.minProto != 0 || len(fb.keys) != 0 {
-			t.Fatalf("round %d: pooled frame arrived stamped: push=%v minProto=%d keys=%v", i, fb.push, fb.minProto, fb.keys)
+		if fb.push || len(fb.keys) != 0 {
+			t.Fatalf("round %d: pooled frame arrived stamped: push=%v keys=%v", i, fb.push, fb.keys)
 		}
-		fb.push, fb.minProto = true, blobProtoVersion
+		fb.push = true
 		fb.appendKey("phi")
 		fb.Release()
 	}

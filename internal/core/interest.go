@@ -6,9 +6,6 @@ package core
 // client's own subscribe/unsubscribe dispatch (single-writer: the read
 // loop), so the broadcast hot path and the relay workers read it with one
 // atomic load — no lock, no allocation, no mutation in place.
-//
-// A nil descriptor means subscribe-all at TierSteering: exactly the v3
-// delivery semantics, and what handcrafted test clients get for free.
 type clientDesc struct {
 	// tier never changes over the descriptor's client lifetime — tier is an
 	// attach-time property, so the session's tier views (steerView/obsView)
@@ -23,18 +20,11 @@ type clientDesc struct {
 }
 
 // newClientDesc builds the attach-time descriptor: subscribe-all per kind
-// until the initial subscriptions narrow it.
+// until the initial subscriptions narrow it. With no subscriptions it is
+// also the subscribe-all reset (flagSubAll).
 func newClientDesc(tier Tier, subs []Subscription) *clientDesc {
 	d := &clientDesc{tier: tier, allChans: true, allParams: true}
 	return d.withSubs(subs)
-}
-
-// tierOf returns the delivery tier, with the nil = TierSteering default.
-func (d *clientDesc) tierOf() Tier {
-	if d == nil {
-		return TierSteering
-	}
-	return d.tier
 }
 
 // wantsSample reports whether any of the frame's channel keys is in the
@@ -44,7 +34,7 @@ func (d *clientDesc) tierOf() Tier {
 // Called from the fanout hot path and the relay worker drains: map reads
 // on an immutable descriptor, no allocation.
 func (d *clientDesc) wantsSample(keys []string) bool {
-	if d == nil || d.allChans {
+	if d.allChans {
 		return true
 	}
 	if len(d.chans) == 0 {
@@ -60,7 +50,7 @@ func (d *clientDesc) wantsSample(keys []string) bool {
 
 // wantsParams is wantsSample for parameter-update keys.
 func (d *clientDesc) wantsParams(keys []string) bool {
-	if d == nil || d.allParams {
+	if d.allParams {
 		return true
 	}
 	if len(d.params) == 0 {
@@ -77,12 +67,7 @@ func (d *clientDesc) wantsParams(keys []string) bool {
 // clone deep-copies the descriptor; the copy-on-write step of every
 // interest mutation.
 func (d *clientDesc) clone() *clientDesc {
-	nd := &clientDesc{tier: d.tierOf()}
-	if d == nil {
-		nd.allChans, nd.allParams = true, true
-		return nd
-	}
-	nd.allChans, nd.allParams = d.allChans, d.allParams
+	nd := &clientDesc{tier: d.tier, allChans: d.allChans, allParams: d.allParams}
 	if len(d.chans) > 0 {
 		nd.chans = make(map[string]struct{}, len(d.chans))
 		for k := range d.chans {
@@ -103,10 +88,7 @@ func (d *clientDesc) clone() *clientDesc {
 // exactly the named set; later ones accumulate.
 func (d *clientDesc) withSubs(subs []Subscription) *clientDesc {
 	if len(subs) == 0 {
-		if d != nil {
-			return d
-		}
-		return d.clone() // materialise the nil default
+		return d
 	}
 	nd := d.clone()
 	for _, sub := range subs {
@@ -152,10 +134,4 @@ func (d *clientDesc) withoutSubs(subs []Subscription) *clientDesc {
 		}
 	}
 	return nd
-}
-
-// descSubscribeAll returns the subscribe-all reset descriptor at the
-// client's tier (flagSubAll).
-func descSubscribeAll(tier Tier) *clientDesc {
-	return &clientDesc{tier: tier, allChans: true, allParams: true}
 }

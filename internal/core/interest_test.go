@@ -1,6 +1,6 @@
 // Interest management and delivery tiers (DESIGN.md §4.3): subscription
 // filtering on the broadcast paths, runtime subscribe/unsubscribe, the
-// observer tier's relayed delivery, and the v3 negotiated downgrade.
+// observer tier's relayed delivery, and replay policies.
 package core
 
 import (
@@ -256,90 +256,6 @@ func TestReplayPolicy(t *testing.T) {
 	check("all", ReplayAll, true, true)
 	check("events", ReplayEvents, true, false)
 	check("none", ReplayNone, false, false)
-}
-
-// TestV3DowngradeInterop speaks protocol v3 at the session with a
-// handcrafted codec: the attach carries no extension frame, the welcome
-// comes back at version 3 advertising the negotiated downgrade, and
-// delivery behaves exactly like pre-tier v3 — steering tier, subscribe-all.
-func TestV3DowngradeInterop(t *testing.T) {
-	s, addr := testSessionAddr(t, SessionConfig{AppName: "app"})
-	st := s.Steered()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := newCodec(conn)
-	err = c.write(&envelope{
-		Version: 3, Type: msgAttach, Seq: 1,
-		Attach: &attachMsg{Name: "legacy"},
-	}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	welcome, err := c.read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if welcome.Type != msgWelcome {
-		t.Fatalf("first frame type = %d, want welcome", welcome.Type)
-	}
-	if welcome.Version != 3 {
-		t.Fatalf("welcome version = %d, want the client's 3", welcome.Version)
-	}
-	w := welcome.Welcome
-	if w.Proto != 3 || w.Tier != TierSteering {
-		t.Fatalf("welcome advertises proto %d tier %v, want proto 3 TierSteering", w.Proto, w.Tier)
-	}
-
-	// Subscribe-all: a v3 client receives every sample, whatever the channel.
-	st.Emit(chanSample(1, "anything"))
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		conn.SetReadDeadline(deadline)
-		e, err := c.read()
-		if err != nil {
-			t.Fatalf("reading v3 stream: %v", err)
-		}
-		if e.Type == msgSample {
-			if _, ok := e.Sample.Channels["anything"]; !ok {
-				t.Fatalf("v3 sample lost its channel: %+v", e.Sample)
-			}
-			break
-		}
-	}
-
-	// The v4-only frames cannot be encoded at version 3 — the client-side
-	// guard against leaking subscribe frames to a downgraded session.
-	if _, err := encodeEnvelope(nil, &envelope{Version: 3, Type: msgSubscribe}); err == nil {
-		t.Fatal("msgSubscribe encoded at version 3, want error")
-	}
-
-	// Versions outside [minProtoVersion, ProtoVersion] are answered with a
-	// typed version rejection, never a welcome.
-	for _, v := range []uint32{2, ProtoVersion + 1} {
-		buf, err := encodeEnvelope(nil, &envelope{Version: v, Type: msgHeartbeat, Seq: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn2, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn2.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-		conn2.SetReadDeadline(time.Now().Add(3 * time.Second))
-		e, rerr := newCodec(conn2).read()
-		if rerr == nil {
-			if e.Type != msgAck || e.Ack == nil || e.Ack.OK {
-				t.Fatalf("version-%d client got %d frame, want rejection ack", v, e.Type)
-			}
-		}
-		conn2.Close()
-	}
 }
 
 // TestSubscriptionChurn exercises the interest machinery under the

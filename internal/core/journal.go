@@ -8,7 +8,7 @@ import (
 
 // Durability layer: a session may be given a JournalSink that receives every
 // broadcast envelope as the exact pre-encoded []byte queued to clients —
-// journaling a frame costs one append, never a re-encode (the protocol v2
+// journaling a frame costs one append, never a re-encode (the codec's
 // encode-once property extends to disk). The sink replays recorded frames
 // during attach so late joiners converge on the event/sample history an
 // always-attached client accumulated, and after a restart Recover rebuilds

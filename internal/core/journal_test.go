@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -307,6 +308,35 @@ func TestRecoverBroadcastsToAttachedClients(t *testing.T) {
 		p, _ := c.Param("g")
 		return p.Value == FloatValue(4.5)
 	})
+}
+
+// TestRecoverRefusesOtherVersion: a log written by a build that spoke
+// another protocol version is not replayed. The first such frame is
+// Recover's error and changes no state; frames at ProtoVersion around it
+// still apply.
+func TestRecoverRefusesOtherVersion(t *testing.T) {
+	update := func(v float64) *envelope {
+		return &envelope{Type: msgParamUpdate, Params: []Param{
+			{Name: "g", Type: FloatParam, Value: FloatValue(v), Min: 0, Max: 10},
+		}}
+	}
+	sink := &memSink{}
+	sink.Record(JournalState, NewFrame(headedAt(t, update(1.5), ProtoVersion)))
+	sink.Record(JournalState, NewFrame(headedAt(t, update(9), 4)))
+
+	s := NewSession(SessionConfig{Journal: sink})
+	defer s.Close()
+	var applied []float64
+	if err := s.Steered().RegisterFloat("g", 0, 0, 10, "", func(v float64) { applied = append(applied, v) }); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.Recover()
+	if !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("Recover err = %v, want ErrVersionMismatch", err)
+	}
+	if n != 1 || len(applied) != 1 || applied[0] != 1.5 {
+		t.Fatalf("Recover applied %d frame(s), callbacks saw %v; want only the v%d frame's 1.5", n, applied, ProtoVersion)
+	}
 }
 
 func TestRecoverWithoutJournalIsNoop(t *testing.T) {

@@ -13,9 +13,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Protocol v2: the session↔client exchange rides internal/wire's tagged
-// binary frames instead of reflection-based gob. One envelope is a
-// header frame followed by a known number of Kind-typed field-group frames:
+// The session↔client exchange rides internal/wire's tagged binary frames.
+// One envelope is a header frame followed by a known number of Kind-typed
+// field-group frames:
 //
 //	tagHeader     int64 ×6   [version, msgType, seq, flags, aux, nframes]
 //	tagStrs       string ×k  positional strings of the message type
@@ -32,47 +32,18 @@ import (
 //	tagSampleName string ×n  sorted channel names
 //	tagSampleData f64        one frame per channel, in name order
 //
-// The header is versioned; AcceptConn/Attach negotiate the version before
-// anything else is decoded, and an unknown magic or unsupported version
-// fails with ErrVersionMismatch instead of a codec panic. Because an
-// envelope is already a byte sequence, broadcasts serialize once and hand
-// the same buffer to every client queue (encode-once fan-out).
+// The header is versioned, and both ends speak exactly ProtoVersion: an
+// unknown magic or any other header version fails with ErrVersionMismatch
+// instead of a codec panic. Because an envelope is already a byte sequence,
+// broadcasts serialize once and hand the same buffer to every client queue
+// (encode-once fan-out).
 
-// ProtoVersion is the protocol generation this package speaks. Version 1
-// was the gob-framed protocol; version 2 introduced the wire-native framing
-// but had no floor-control vocabulary (its master requests could go
-// unanswered, so a v3 endpoint rejects v2 peers cleanly at the handshake
-// instead of leaving their requests to silently time out). Version 3 adds
-// the explicit request/grant/deny/release floor protocol, heartbeats and
-// lease advertisement. Version 4 adds interest management: subscribe /
-// unsubscribe frames, delivery tiers and replay policies on attach, and the
-// extended welcome advertisement.
-//
-// A v4 endpoint still accepts v3 peers (minProtoVersion): the session
-// records the peer's version at attach, answers the handshake at that
-// version, and downgrades a v3 client to subscribe-all at TierSteering —
-// exactly the v3 delivery semantics. The v4 additions are all new frame
-// tags or trailing ints in existing groups, both of which v3 decoders
-// skip, so broadcast framing needs no per-client re-encode.
-//
-// Version 5 adds the bulk blob frame class (msgBlob): large binary
-// payloads — pixel tiles, rendered frames, geometry — ride the same
-// refcounted FrameBuf fan-out as samples, interest-keyed by stream name
-// and sized for the zero-copy writev egress path. Unlike the v4
-// additions, a blob is a whole new message type, which pre-v5 decoders
-// reject as malformed rather than skip — so blob delivery is proto-gated
-// per client (FrameBuf.minProto): a v5 session simply never queues a blob
-// toward a v3/v4 peer, and mixed fleets keep working on the shared
-// encode-once buffer.
+// ProtoVersion is the protocol generation this package speaks, and the only
+// one it accepts: a peer whose header carries any other version is refused
+// at the handshake with a version-coded ack. History: v1 was gob-framed, v2
+// wire-native, v3 added floor control and leases, v4 interest management
+// (tiers, subscriptions, replay policies), v5 the bulk blob frame class.
 const ProtoVersion = 5
-
-// minProtoVersion is the oldest peer generation a v5 endpoint still
-// accepts (see the downgrade notes on ProtoVersion).
-const minProtoVersion = 3
-
-// blobProtoVersion is the first protocol generation whose decoder
-// understands msgBlob; fan-out gates blob frames on it per client.
-const blobProtoVersion = 5
 
 // Frame tags of the envelope codec.
 const (
@@ -90,29 +61,27 @@ const (
 	tagSampleMeta
 	tagSampleName
 	tagSampleData
-	// tagFloor carries the welcome's floor-control advertisement:
-	// int64 ×3 [leaseMillis, policy, floorSeq]. A zero lease means leases
-	// are disabled and clients need not heartbeat; floorSeq anchors the
-	// client's newest-wins ordering of master-changed broadcasts. Since v4
-	// the group carries three more ints [tier, observerMillis, proto] —
-	// the granted delivery tier, the observer coalescing interval and the
-	// version the session decided to speak to this client. v3 decoders
-	// read the first three and ignore the rest.
+	// tagFloor carries the welcome's session advertisement: int64 ×6
+	// [leaseMillis, policy, floorSeq, tier, observerMillis, proto]. A zero
+	// lease means leases are disabled and clients need not heartbeat;
+	// floorSeq anchors the client's newest-wins ordering of master-changed
+	// broadcasts; tier is the granted delivery tier and observerMillis the
+	// observer coalescing interval. proto is always ProtoVersion, and the
+	// decoder refuses a welcome that advertises another.
 	tagFloor
-	// tagAttachExt is the v4 attach extension: int64 ×(3+n)
+	// tagAttachExt is the attach's delivery request: int64 ×(3+n)
 	// [tier, replayPolicy, nsubs, kind...] with the matching subscription
-	// names appended to the attach's tagStrs after [name, session]. v3
-	// decoders skip the unknown tag.
+	// names appended to the attach's tagStrs after [name, session].
 	tagAttachExt
 	// tagSub carries a subscribe/unsubscribe selector set: int64 ×n
 	// subscription kinds, names in the envelope's tagStrs positionally.
 	tagSub
-	// tagBlobMeta (v5) carries a blob frame's fixed-size descriptor:
+	// tagBlobMeta carries a blob frame's fixed-size descriptor:
 	// int64 ×6 [seq, encoding, width, height, flags, len]. The stream name
 	// rides in the envelope's tagStrs; len must match the tagBlobData
 	// payload exactly.
 	tagBlobMeta
-	// tagBlobData (v5) carries the blob payload as one wire bytes element —
+	// tagBlobData carries the blob payload as one wire bytes element —
 	// the big-frame half of the envelope, 64KB–1MB for pixel streams.
 	tagBlobData
 )
@@ -221,20 +190,19 @@ const (
 	// one-way and never acked. Any inbound frame renews the lease — the
 	// heartbeat only exists so an idle master has something to send.
 	msgHeartbeat
-	// msgSubscribe (v4) adds selectors to the sender's interest set (the
+	// msgSubscribe adds selectors to the sender's interest set (the
 	// first selective subscribe for a kind narrows that kind from
 	// subscribe-all to exactly the named set), or resets to subscribe-all
 	// under flagSubAll; always acked.
 	msgSubscribe
-	// msgUnsubscribe (v4) removes the named selectors from the sender's
+	// msgUnsubscribe removes the named selectors from the sender's
 	// interest set; with no selectors it clears both kinds to
 	// interested-in-nothing. Always acked.
 	msgUnsubscribe
-	// msgBlob (v5) is the bulk binary frame class: an application-defined
+	// msgBlob is the bulk binary frame class: an application-defined
 	// payload (pixel tiles, rendered frames, geometry) keyed by a stream
-	// name for interest filtering. Session→client only, never journaled
-	// (blob streams are publisher-delta-coded; see JournalBlob), and never
-	// queued toward a pre-v5 peer.
+	// name for interest filtering. Session→client only, and never journaled
+	// (blob streams are publisher-delta-coded; see JournalBlob).
 	msgBlob
 )
 
@@ -250,10 +218,7 @@ const (
 
 // envelope is the in-memory form of one protocol message.
 type envelope struct {
-	// Version is the protocol version to encode with; 0 means ProtoVersion.
-	// Decoded envelopes carry the sender's version.
-	Version uint32
-	Type    msgType
+	Type msgType
 	// Seq correlates requests with acks.
 	Seq uint64
 
@@ -276,7 +241,7 @@ type envelope struct {
 	// marks a subscribe-all reset (flagSubAll).
 	Subs   []Subscription
 	SubAll bool
-	// Blob is the v5 bulk frame payload.
+	// Blob is the bulk frame payload.
 	Blob *Blob
 }
 
@@ -290,15 +255,12 @@ type attachMsg struct {
 	// Priority orders this client's floor requests under the priority
 	// policy; higher wins. Ignored by the FIFO policy.
 	Priority int64
-	// Tier is the requested delivery tier (v4; zero = TierSteering).
+	// Tier is the requested delivery tier (zero = TierSteering).
 	Tier Tier
-	// Replay is the requested journal replay policy (v4; zero = ReplayAll).
+	// Replay is the requested journal replay policy (zero = ReplayAll).
 	Replay ReplayPolicy
-	// Subs is the initial interest set (v4; empty = subscribe-all).
+	// Subs is the initial interest set (empty = subscribe-all).
 	Subs []Subscription
-	// proto is the protocol version the peer attached with; never on the
-	// wire (the envelope header carries it). 0 means ProtoVersion.
-	proto uint32
 }
 
 type welcomeMsg struct {
@@ -317,15 +279,11 @@ type welcomeMsg struct {
 	// FloorSeq is the floor-transition sequence number the Master field
 	// reflects; master-changed broadcasts with a lower seq are stale.
 	FloorSeq uint64
-	// Tier is the delivery tier the session granted (v4).
+	// Tier is the delivery tier the session granted.
 	Tier Tier
 	// ObserverMillis is the observer-tier coalescing interval in
 	// milliseconds; <= 0 means observer frames are flushed immediately.
 	ObserverMillis int64
-	// Proto is the protocol version the session speaks to this client —
-	// the peer's own version under negotiated downgrade. 0 (a v3 session)
-	// means v3.
-	Proto uint32
 }
 
 type ackMsg struct {
@@ -364,22 +322,11 @@ func valueFromLanes(kind, i int64, f float64, s string) (Value, error) {
 }
 
 // frameCount returns the number of field-group frames the envelope encodes
-// to after the header at the given protocol version — the declared nframes
-// must match what the version actually emits, so version-gated extension
-// frames count only when the version carries them.
-func frameCount(e *envelope, version uint32) (int, error) {
+// to after the header.
+func frameCount(e *envelope) (int, error) {
 	switch e.Type {
-	case msgAttach:
-		if version >= 4 {
-			return 2, nil // strings + attach extension
-		}
-		return 1, nil
-	case msgSubscribe, msgUnsubscribe:
-		if version < 4 {
-			//steer:allow hotpathalloc malformed-envelope error path aborts the broadcast before any fan-out
-			return 0, fmt.Errorf("%w: subscribe frames require v4, encoding at v%d", errMalformed, version)
-		}
-		return 2, nil // selector names + kinds
+	case msgAttach, msgSubscribe, msgUnsubscribe:
+		return 2, nil // strings + attach extension or selector kinds
 	case msgHandoffMaster, msgMasterChanged, msgEvent, msgAck:
 		return 1, nil
 	case msgWelcome:
@@ -399,10 +346,6 @@ func frameCount(e *envelope, version uint32) (int, error) {
 		}
 		return 2 + len(e.Sample.Channels), nil
 	case msgBlob:
-		if version < blobProtoVersion {
-			//steer:allow hotpathalloc malformed-envelope error path aborts the broadcast before any fan-out
-			return 0, fmt.Errorf("%w: blob frames require v%d, encoding at v%d", errMalformed, blobProtoVersion, version)
-		}
 		if e.Blob == nil {
 			//steer:allow hotpathalloc malformed-envelope error path aborts the broadcast before any fan-out
 			return 0, fmt.Errorf("%w: blob without payload", errMalformed)
@@ -430,11 +373,7 @@ func frameCount(e *envelope, version uint32) (int, error) {
 // slice. Encoding is deterministic: map-backed groups (sample channels, viz
 // params) are emitted in sorted key order.
 func encodeEnvelope(buf []byte, e *envelope) ([]byte, error) {
-	version := e.Version
-	if version == 0 {
-		version = ProtoVersion
-	}
-	nframes, err := frameCount(e, version)
+	nframes, err := frameCount(e)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +417,7 @@ func encodeEnvelope(buf []byte, e *envelope) ([]byte, error) {
 		}
 	}
 	buf = wire.AppendInt64s(buf, tagHeader, []int64{ //steer:allow hotpathalloc non-escaping literal the compiler stack-allocates; BenchmarkBroadcastHotPath proves 0 allocs/op
-		int64(version), int64(e.Type), int64(e.Seq), flags, aux, int64(nframes),
+		ProtoVersion, int64(e.Type), int64(e.Seq), flags, aux, int64(nframes),
 	})
 
 	switch e.Type {
@@ -487,29 +426,23 @@ func encodeEnvelope(buf []byte, e *envelope) ([]byte, error) {
 		if a == nil {
 			a = &attachMsg{}
 		}
-		if version >= 4 {
-			strs := make([]string, 0, 2+len(a.Subs))
-			strs = append(strs, a.Name, a.Session)
-			ext := make([]int64, 0, 3+len(a.Subs))
-			ext = append(ext, int64(a.Tier), int64(a.Replay), int64(len(a.Subs)))
-			for _, sub := range a.Subs {
-				strs = append(strs, sub.Name)
-				ext = append(ext, int64(sub.Kind))
-			}
-			buf = wire.AppendStrings(buf, tagStrs, strs)
-			buf = wire.AppendInt64s(buf, tagAttachExt, ext)
-		} else {
-			buf = wire.AppendStrings(buf, tagStrs, []string{a.Name, a.Session})
+		strs := make([]string, 0, 2+len(a.Subs))
+		strs = append(strs, a.Name, a.Session)
+		ext := make([]int64, 0, 3+len(a.Subs))
+		ext = append(ext, int64(a.Tier), int64(a.Replay), int64(len(a.Subs)))
+		for _, sub := range a.Subs {
+			strs = append(strs, sub.Name)
+			ext = append(ext, int64(sub.Kind))
 		}
+		buf = wire.AppendStrings(buf, tagStrs, strs)
+		buf = wire.AppendInt64s(buf, tagAttachExt, ext)
 	case msgWelcome: //steer:allow hotpathalloc control-plane case; the steady-state sample path takes msgSample
 		w := e.Welcome
 		buf = wire.AppendStrings(buf, tagStrs, []string{w.SessionName, w.AppName, w.ClientName, w.Master})
 		buf = appendParams(buf, w.Params)
-		// The trailing [tier, observerMillis, proto] ints are harmless to v3
-		// decoders, which only read the first three (see tagFloor).
 		buf = wire.AppendInt64s(buf, tagFloor, []int64{
 			w.LeaseMillis, int64(w.Policy), int64(w.FloorSeq),
-			int64(w.Tier), w.ObserverMillis, int64(w.Proto),
+			int64(w.Tier), w.ObserverMillis, ProtoVersion,
 		})
 		if w.View != nil {
 			buf = appendView(buf, w.View)
@@ -892,9 +825,9 @@ func (sc *envScratch) retained() int {
 // decodeEnvelope reads one envelope from dec into sc, refusing to retain
 // more than budget payload bytes across its field frames, and leaves sc
 // empty for the next one. A bad magic maps to ErrVersionMismatch: the
-// stream is not protocol v2 (a gob v1 client, an HTTP probe...). An
-// unsupported header version also fails with ErrVersionMismatch, wrapped
-// with the offered version.
+// stream is not this protocol at all (a gob v1 client, an HTTP probe...).
+// A header version other than ProtoVersion also fails with
+// ErrVersionMismatch, wrapped with the offered version.
 func decodeEnvelope(dec *wire.Decoder, budget int, sc *envScratch) (*envelope, error) {
 	defer sc.reset()
 	var m wire.Message
@@ -908,19 +841,17 @@ func decodeEnvelope(dec *wire.Decoder, budget int, sc *envScratch) (*envelope, e
 		return nil, fmt.Errorf("%w: expected envelope header, got tag %d", errMalformed, m.Header.Tag)
 	}
 	h := m.Int64s
-	version := uint32(h[0])
-	if version < minProtoVersion || version > ProtoVersion {
-		return nil, fmt.Errorf("%w: peer speaks v%d, this endpoint speaks v%d (accepts v%d..v%d)",
-			ErrVersionMismatch, version, ProtoVersion, minProtoVersion, ProtoVersion)
+	if version := h[0]; version != ProtoVersion {
+		return nil, fmt.Errorf("%w: peer speaks v%d, this endpoint speaks v%d",
+			ErrVersionMismatch, version, ProtoVersion)
 	}
 	nframes := h[5]
 	if nframes < 0 || nframes > maxEnvelopeFrames {
 		return nil, fmt.Errorf("%w: %d field frames", errMalformed, nframes)
 	}
 	e := &envelope{
-		Version: version,
-		Type:    msgType(h[1]),
-		Seq:     uint64(h[2]),
+		Type: msgType(h[1]),
+		Seq:  uint64(h[2]),
 	}
 	flags, aux := h[3], h[4]
 
@@ -998,58 +929,54 @@ func decodeEnvelope(dec *wire.Decoder, budget int, sc *envScratch) (*envelope, e
 	var err error
 	switch e.Type {
 	case msgAttach:
+		if len(attachExt) < 3 {
+			return nil, fmt.Errorf("%w: attach extension count %d", errMalformed, len(attachExt))
+		}
+		nsubs := attachExt[2]
+		if nsubs != int64(len(attachExt)-3) || nsubs > int64(len(strs)-2) {
+			return nil, fmt.Errorf("%w: attach extension counts %d/%d/%d", errMalformed, len(attachExt), nsubs, len(strs))
+		}
+		tier, replay := attachExt[0], attachExt[1]
+		if tier < int64(TierSteering) || tier > int64(TierObserver) {
+			return nil, fmt.Errorf("%w: delivery tier %d", errMalformed, tier)
+		}
+		if replay < int64(ReplayAll) || replay > int64(ReplayNone) {
+			return nil, fmt.Errorf("%w: replay policy %d", errMalformed, replay)
+		}
 		e.Attach = &attachMsg{
 			Name: str(0), Session: str(1),
 			WantMaster: flags&flagWantMaster != 0,
 			Priority:   aux,
-			proto:      version,
+			Tier:       Tier(tier),
+			Replay:     ReplayPolicy(replay),
 		}
-		if len(attachExt) >= 3 {
-			nsubs := attachExt[2]
-			if nsubs != int64(len(attachExt)-3) || nsubs > int64(len(strs)-2) {
-				return nil, fmt.Errorf("%w: attach extension counts %d/%d/%d", errMalformed, len(attachExt), nsubs, len(strs))
-			}
-			tier, replay := attachExt[0], attachExt[1]
-			if tier < int64(TierSteering) || tier > int64(TierObserver) {
-				return nil, fmt.Errorf("%w: delivery tier %d", errMalformed, tier)
-			}
-			if replay < int64(ReplayAll) || replay > int64(ReplayNone) {
-				return nil, fmt.Errorf("%w: replay policy %d", errMalformed, replay)
-			}
-			e.Attach.Tier = Tier(tier)
-			e.Attach.Replay = ReplayPolicy(replay)
-			if nsubs > 0 {
-				e.Attach.Subs = make([]Subscription, 0, nsubs)
-				for i := int64(0); i < nsubs; i++ {
-					sub, err := subscriptionFromLanes(attachExt[3+i], strs[2+i])
-					if err != nil {
-						return nil, err
-					}
-					e.Attach.Subs = append(e.Attach.Subs, sub)
+		if nsubs > 0 {
+			e.Attach.Subs = make([]Subscription, 0, nsubs)
+			for i := int64(0); i < nsubs; i++ {
+				sub, err := subscriptionFromLanes(attachExt[3+i], strs[2+i])
+				if err != nil {
+					return nil, err
 				}
+				e.Attach.Subs = append(e.Attach.Subs, sub)
 			}
 		}
 	case msgWelcome:
+		if len(floorMeta) != 6 || floorMeta[5] != ProtoVersion {
+			return nil, fmt.Errorf("%w: welcome advertisement %v", errMalformed, floorMeta)
+		}
 		params, err := parseParams(pMeta, pNum, pStr)
 		if err != nil {
 			return nil, err
 		}
 		w := &welcomeMsg{
 			SessionName: str(0), AppName: str(1), ClientName: str(2), Master: str(3),
-			Role:   Role(aux),
-			Params: params,
-		}
-		if len(floorMeta) >= 2 {
-			w.LeaseMillis = floorMeta[0]
-			w.Policy = FloorPolicy(floorMeta[1])
-		}
-		if len(floorMeta) >= 3 {
-			w.FloorSeq = uint64(floorMeta[2])
-		}
-		if len(floorMeta) >= 6 {
-			w.Tier = Tier(floorMeta[3])
-			w.ObserverMillis = floorMeta[4]
-			w.Proto = uint32(floorMeta[5])
+			Role:           Role(aux),
+			Params:         params,
+			LeaseMillis:    floorMeta[0],
+			Policy:         FloorPolicy(floorMeta[1]),
+			FloorSeq:       uint64(floorMeta[2]),
+			Tier:           Tier(floorMeta[3]),
+			ObserverMillis: floorMeta[4],
 		}
 		if flags&flagHasView != 0 {
 			if w.View, err = parseView(vMeta, vNums, vKeys); err != nil {

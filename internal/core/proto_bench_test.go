@@ -219,17 +219,12 @@ func BenchmarkProtocolFanout(b *testing.B) {
 			// Fake attached clients: real queues, no sockets, so the
 			// measurement isolates encode + enqueue.
 			s := NewSession(SessionConfig{SampleQueue: 2, Writer: &inlineWriter{batch: 2}})
-			for i := 0; i < n; i++ {
-				name := fmt.Sprintf("c%02d", i)
-				s.clients[name] = &clientConn{
-					name: name,
-					out:  newFrameRing(2),
-					ctrl: newFrameRing(2),
-					gone: make(chan struct{}),
-				}
-				s.order = append(s.order, name)
-			}
 			s.mu.Lock()
+			for i := 0; i < n; i++ {
+				if _, err := s.admitLocked(&attachMsg{Name: fmt.Sprintf("c%02d", i)}, newCodec(discardConn{})); err != nil {
+					b.Fatal(err)
+				}
+			}
 			s.rebuildClientsLocked()
 			s.mu.Unlock()
 			sample := benchSample(4096)

@@ -162,7 +162,7 @@ const (
 // the union of its subscriptions, kept per kind: subscribing to any channel
 // narrows channel delivery to the named ones, subscribing to any parameter
 // narrows parameter-update delivery likewise. A kind with no subscriptions
-// stays at subscribe-all, which is also the v3-client downgrade default.
+// stays at subscribe-all, the attach default.
 type Subscription struct {
 	Kind SubscriptionKind
 	Name string
@@ -181,7 +181,7 @@ type ReplayPolicy int
 // Replay policies.
 const (
 	// ReplayAll replays the full journaled backlog (events and samples):
-	// the pre-v4 behaviour and the zero value.
+	// the zero value.
 	ReplayAll ReplayPolicy = iota
 	// ReplayEvents replays journaled control traffic but skips bulk samples;
 	// an observer that only needs current params/view attaches much faster.

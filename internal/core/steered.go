@@ -92,7 +92,7 @@ func (st *Steered) Event(ev string) {
 }
 
 // EmitBlob publishes one bulk binary frame — pixel tiles, a rendered
-// frame, geometry — to the v5+ clients subscribed to its stream. Like
+// frame, geometry — to the clients subscribed to its stream. Like
 // Emit it never blocks: a slow client's ring overwrites its oldest blob,
 // so viewers see the freshest frame rather than a growing backlog. Blobs
 // are never journaled; publishers are responsible for re-keying late

@@ -81,6 +81,22 @@ func (e *encoder) deflate(dst, src []byte) []byte {
 	return dst
 }
 
+// MaxFramebufferBytes bounds the framebuffer a viewer sizes from a peer's
+// declared geometry (4096×4096 RGBA). Both viewers — the full-frame
+// vizserver client and the dirty-tile vnc viewer — refuse a non-positive or
+// larger geometry through FramebufferBytes before allocating anything.
+const MaxFramebufferBytes = 4096 * 4096 * 4
+
+// FramebufferBytes is the RGBA size of a w×h framebuffer declared off the
+// wire, or an error if it falls outside (0, MaxFramebufferBytes]. The bound
+// is checked by division, so no product of hostile dimensions can wrap.
+func FramebufferBytes(w, h int64) (int, error) {
+	if w <= 0 || h <= 0 || w > MaxFramebufferBytes/4/h {
+		return 0, fmt.Errorf("pixel: framebuffer %dx%d outside 1..%d bytes", w, h, MaxFramebufferBytes)
+	}
+	return int(w * h * 4), nil
+}
+
 // maxExpansion is the most deflate can expand its input: 258 bytes from a
 // 2-bit match (RFC 1951), 1032:1.
 const maxExpansion = 1032

@@ -87,18 +87,23 @@ func (c *Client) readLoop() {
 // apply decodes one pixel blob into the local framebuffer. Deltas only apply
 // on an unbroken sequence; after a gap (ring eviction on a slow link) the
 // viewer stays on its last good frame until the next keyframe re-anchors it.
+// A blob declaring a geometry outside (0, pixel.MaxFramebufferBytes] is
+// dropped the same way, before it sizes anything.
 func (c *Client) apply(b *core.Blob) {
 	if b.Stream != PixelStream {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	size, err := pixel.FramebufferBytes(int64(b.Width), int64(b.Height))
+	if err != nil {
+		c.anchor = pixel.Anchor{} // wait for a keyframe
+		return
+	}
 	if !c.anchor.Accept(b.Seq, b.Encoding) {
 		return
 	}
-	size := b.Width * b.Height * 4
 	var next []byte
-	var err error
 	switch b.Encoding {
 	case pixel.EncKey:
 		next, err = pixel.DecodeKeyInto(c.spare, b.Data, size)

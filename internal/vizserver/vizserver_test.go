@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hub"
+	"repro/internal/pixel"
 	"repro/internal/render"
 	"repro/internal/viz"
 )
@@ -309,5 +310,53 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(Config{Width: 10, Height: 10}); err == nil {
 		t.Fatal("nil scene accepted")
+	}
+}
+
+// TestClientRejectsHostileGeometry: a blob's declared geometry is checked
+// against pixel.MaxFramebufferBytes before it sizes the decode. Dimensions
+// whose RGBA product wraps to zero, zero or negative dimensions and
+// oversized frames are all dropped without touching the framebuffer, and
+// the viewer waits for a keyframe before applying deltas again.
+func TestClientRejectsHostileGeometry(t *testing.T) {
+	const side = 32
+	keyframe := func(w, h int, seq uint64) *core.Blob {
+		// The payload carries the byte count the geometry computes to in
+		// int arithmetic, so a product that wraps to zero decodes cleanly.
+		n := w * h * 4
+		if n < 0 || n > 1<<20 {
+			n = 0
+		}
+		return &core.Blob{
+			Stream: PixelStream, Seq: seq, Encoding: pixel.EncKey,
+			Width: w, Height: h, Data: pixel.EncodeKey(make([]byte, n)),
+		}
+	}
+	c := new(Client)
+	c.frameCh = make(chan uint64, 64)
+	c.apply(keyframe(side, side, 1))
+	if c.Frames() != 1 {
+		t.Fatal("good keyframe not applied")
+	}
+	good := c.Checksum()
+	hostile := [][2]int{{-1, side}, {side, -16}, {0, 0}, {0, side}, {1 << 31, 1 << 31}, {1 << 32, 1 << 32}, {4097, 4096}, {1 << 62, 4}}
+	for i, g := range hostile {
+		c.apply(keyframe(g[0], g[1], uint64(2+i)))
+		if c.Frames() != 1 || c.Checksum() != good || c.w != side || c.h != side {
+			t.Fatalf("hostile geometry %dx%d applied: frames %d, %dx%d", g[0], g[1], c.Frames(), c.w, c.h)
+		}
+	}
+	next := uint64(2 + len(hostile))
+	delta, err := pixel.EncodeDelta(make([]byte, side*side*4), make([]byte, side*side*4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.apply(&core.Blob{Stream: PixelStream, Seq: next, Encoding: pixel.EncDelta, Width: side, Height: side, Data: delta})
+	if c.Frames() != 1 {
+		t.Fatal("delta applied after a dropped blob, without a re-anchor")
+	}
+	c.apply(keyframe(side, side, next+1))
+	if c.Frames() != 2 {
+		t.Fatal("keyframe did not re-anchor the viewer")
 	}
 }

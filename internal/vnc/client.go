@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/pixel"
 	"repro/internal/wire"
 )
 
@@ -47,7 +48,7 @@ func Attach(conn net.Conn) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("vnc: malformed init frame")
 	}
-	n, err := framebufferBytes(dims[0], dims[1])
+	n, err := pixel.FramebufferBytes(dims[0], dims[1])
 	if err != nil {
 		conn.Close()
 		return nil, err

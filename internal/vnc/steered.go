@@ -179,7 +179,7 @@ func (v *Viewer) readLoop() {
 // only apply on an unbroken sequence; after a gap (ring eviction on a slow
 // link) the viewer holds its last good frame until a full-coverage update
 // re-anchors it. A blob declaring a geometry outside
-// (0, MaxFramebufferBytes] is dropped the same way, before it sizes
+// (0, pixel.MaxFramebufferBytes] is dropped the same way, before it sizes
 // anything.
 func (v *Viewer) apply(b *core.Blob) {
 	if b.Stream != DesktopStream || b.Encoding != pixel.EncTiles {
@@ -187,7 +187,7 @@ func (v *Viewer) apply(b *core.Blob) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, err := framebufferBytes(int64(b.Width), int64(b.Height))
+	n, err := pixel.FramebufferBytes(int64(b.Width), int64(b.Height))
 	if err != nil {
 		v.anchor = pixel.Anchor{} // hold until the next full update
 		return
