@@ -23,7 +23,7 @@
 //     the retained FrameBuf references it stores: framebuflife permits its
 //     *FrameBuf parameters to be retained and escape, because the owning
 //     component documents its own release path (frameRing.push,
-//     clientConn.stashCtrl).
+//     clientConn.queueCtrl).
 //   - //steer:consumes — this function consumes the caller's reference to
 //     each *FrameBuf parameter (Session.fanout): every path must discharge
 //     exactly one caller reference, and framebuflife debits callers at the

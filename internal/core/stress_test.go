@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestBroadcastStressAttachDetach is the -race guard for the zero-copy
@@ -208,5 +211,71 @@ func TestBroadcastStressJournaled(t *testing.T) {
 			}
 			seen[ev] = true
 		}
+	}
+}
+
+// holdWriter takes wakeups without draining, so a test can let a welcomed
+// client's queues back up and drain them when it chooses.
+type holdWriter struct{}
+
+func (holdWriter) ClientReady(*ClientHandle) {}
+
+// TestJournaledCtrlOverflowLossless: a live client whose writer falls
+// behind a control burst loses nothing on a journaled session — the full
+// ring overflows into the stash, and the drains deliver ring then stash,
+// every event once, in emission order. Without a journal the ring stays
+// lossy: the same burst leaves only the newest ring-full.
+func TestJournaledCtrlOverflowLossless(t *testing.T) {
+	const burst = 200
+	for _, journaled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			cfg := SessionConfig{Name: "overflow", Writer: holdWriter{}}
+			if journaled {
+				cfg.Journal = &memSink{}
+			}
+			s := NewSession(cfg)
+			defer s.Close()
+			conn := &captureConn{}
+			cc, err := s.admit(&attachMsg{Name: "slow"}, newCodec(conn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cc.welcomed.Store(true)
+			for i := 0; i < burst; i++ {
+				s.broadcastEvent(fmt.Sprintf("ev-%03d", i))
+			}
+			for more := true; more; {
+				if _, more, err = cc.handle.drainBatch(poolBatch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := cc.ctrlPending(); n != 0 {
+				t.Fatalf("%d control frames still queued after the drains", n)
+			}
+
+			dec := wire.NewDecoder(bytes.NewReader(conn.data.Bytes()))
+			var got []string
+			for {
+				e, err := decodeEnvelope(dec, clientEnvelopeBudget, new(envScratch))
+				if err != nil {
+					break
+				}
+				if e.Type == msgEvent {
+					got = append(got, e.Event)
+				}
+			}
+			first := 0
+			if !journaled {
+				first = burst - len(cc.ctrl.buf)
+			}
+			if len(got) != burst-first {
+				t.Fatalf("delivered %d events, want %d", len(got), burst-first)
+			}
+			for i, ev := range got {
+				if want := fmt.Sprintf("ev-%03d", first+i); ev != want {
+					t.Fatalf("event %d = %q, want %q", i, ev, want)
+				}
+			}
+		})
 	}
 }
