@@ -11,8 +11,7 @@
 //	       [-journal-dir DIR] [-journal-fsync]
 //	       [-floor-policy fifo|priority|steal] [-master-lease 10s]
 //	       [-fanout-workers 0] [-observer-interval 25ms]
-//	       [-coalesce-bytes 0] [-tcp-nodelay] [-tcp-rcvbuf N] [-tcp-sndbuf N]
-//	       [-tcp-keepalive 0]
+//	       [-tcp-nodelay] [-tcp-rcvbuf N] [-tcp-sndbuf N] [-tcp-keepalive 0]
 //
 // With the default -sessions 1 the daemon behaves exactly like the classic
 // single-session steerd: one session named "steerd-lb3d" that clients may
@@ -41,12 +40,8 @@
 // behind it reaches observers under the same limit (0 keeps the 25ms
 // default, negative flushes every frame).
 //
-// Egress and socket tuning: -coalesce-bytes sets the vectored (writev)
-// egress gather threshold — frames below it are copied into one shared
-// iovec per batch, frames at or above it ride zero-copy (0 keeps the ~1KB
-// default, negative disables gathering). -tcp-nodelay (on by default),
-// -tcp-rcvbuf, -tcp-sndbuf and -tcp-keepalive tune every accepted
-// connection at birth.
+// Socket tuning: -tcp-nodelay (on by default), -tcp-rcvbuf, -tcp-sndbuf
+// and -tcp-keepalive tune every accepted connection at birth.
 //
 // Then, e.g.:
 //
@@ -83,7 +78,6 @@ func main() {
 	masterLease := flag.Duration("master-lease", 10*time.Second, "master lease; a master silent this long loses the floor (0 disables)")
 	fanoutWorkers := flag.Int("fanout-workers", 0, "observer-tier relay workers per session (0 = auto, negative = 1)")
 	observerInterval := flag.Duration("observer-interval", 0, "longest unprompted spacing between observer flushes; steer-caused frames are not held (0 = default 25ms, negative = flush every frame)")
-	coalesceBytes := flag.Int("coalesce-bytes", 0, "vectored egress gather threshold: frames below it share one iovec (0 = default ~1KB, negative disables gathering)")
 	tcpNoDelay := flag.Bool("tcp-nodelay", true, "set TCP_NODELAY on accepted connections (false re-enables Nagle)")
 	tcpRcvBuf := flag.Int("tcp-rcvbuf", 0, "SO_RCVBUF for accepted connections in bytes (0 = OS default)")
 	tcpSndBuf := flag.Int("tcp-sndbuf", 0, "SO_SNDBUF for accepted connections in bytes (0 = OS default)")
@@ -102,7 +96,6 @@ func main() {
 		SessionDefaults: core.SessionConfig{
 			FloorPolicy: floorPolicy, MasterLease: *masterLease,
 			FanoutWorkers: *fanoutWorkers, ObserverInterval: *observerInterval,
-			CoalesceBytes: *coalesceBytes,
 		},
 		Sock: core.SockOpts{
 			Delay:     !*tcpNoDelay,

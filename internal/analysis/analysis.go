@@ -22,8 +22,7 @@
 //   - //steer:owns — this function or interface method takes ownership of
 //     the retained FrameBuf references it stores: framebuflife permits its
 //     *FrameBuf parameters to be retained and escape, because the owning
-//     component documents its own release path (frameRing.push,
-//     clientConn.queueCtrl).
+//     component documents its own release path (frameRing.push).
 //   - //steer:consumes — this function consumes the caller's reference to
 //     each *FrameBuf parameter (Session.fanout): every path must discharge
 //     exactly one caller reference, and framebuflife debits callers at the

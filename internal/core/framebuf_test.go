@@ -105,20 +105,123 @@ func TestFrameRingFreshestWins(t *testing.T) {
 	releaseFrames(got)
 }
 
-func TestFrameRingTryPushNoEvict(t *testing.T) {
-	r := newFrameRing(2)
-	a, b, c := NewFrame([]byte("a")), NewFrame([]byte("b")), NewFrame([]byte("c"))
-	if !r.tryPush(a) || !r.tryPush(b) {
-		t.Fatal("tryPush refused a free slot")
+// TestFrameRingOverflow pins what a full ring does with one more frame
+// under each policy, and what drains and closes do afterwards.
+func TestFrameRingOverflow(t *testing.T) {
+	// fill pushes n one-byte frames valued from, from+1, ... and drops the
+	// producer's references, so the ring holds each frame's only one.
+	fill := func(t *testing.T, r *frameRing, from, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			fb := NewFrame([]byte{byte(from + i)})
+			if r.push(fb) {
+				t.Fatalf("push %d lost a frame", from+i)
+			}
+			fb.Release()
+		}
 	}
-	if r.tryPush(c) {
-		t.Fatal("tryPush overwrote a full ring")
+	// drain pops up to max frames (max <= 0: all) and checks they are
+	// exactly want frames valued from, from+1, ...
+	drain := func(t *testing.T, r *frameRing, max, from, want int) {
+		t.Helper()
+		got := r.drainInto(nil, max)
+		defer releaseFrames(got)
+		if len(got) != want {
+			t.Fatalf("drained %d frames, want %d", len(got), want)
+		}
+		for i, fb := range got {
+			if v := byte(from + i); fb.Bytes()[0] != v {
+				t.Fatalf("slot %d = %d, want %d (FIFO order broken)", i, fb.Bytes()[0], v)
+			}
+		}
 	}
-	got := r.drainInto(nil, 0)
-	if len(got) != 2 || got[0].Bytes()[0] != 'a' || got[1].Bytes()[0] != 'b' {
-		t.Fatalf("ring reordered or lost frames: %d", len(got))
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		lossless bool
+		run      func(t *testing.T, r *frameRing)
+	}{
+		{"lossy ring evicts its oldest", 4, false, func(t *testing.T, r *frameRing) {
+			oldest := NewFrame([]byte{0})
+			r.push(oldest)
+			fill(t, r, 1, 3)
+			fb := NewFrame([]byte{4})
+			if !r.push(fb) {
+				t.Fatal("push into a full lossy ring reported no eviction")
+			}
+			fb.Release()
+			if oldest.Refs() != 1 {
+				t.Fatalf("evicted frame refs = %d, want 1 (the producer's)", oldest.Refs())
+			}
+			drain(t, r, 0, 1, 4)
+		}},
+		{"lossless ring grows across the wrap", 4, true, func(t *testing.T, r *frameRing) {
+			fill(t, r, 0, 4)
+			drain(t, r, 2, 0, 2)
+			fill(t, r, 4, 2)
+			if r.n != len(r.buf) || r.tail == 0 {
+				t.Fatalf("setup: n=%d slots=%d tail=%d, want a full ring wrapped past slot 0", r.n, len(r.buf), r.tail)
+			}
+			fill(t, r, 6, 2)
+			if len(r.buf) != 8 {
+				t.Fatalf("full ring grew to %d slots, want 8", len(r.buf))
+			}
+			drain(t, r, 0, 2, 6)
+		}},
+		{"lossless ring refuses at its bound", 64, true, func(t *testing.T, r *frameRing) {
+			fb := NewFrame([]byte{0})
+			for i := 0; i < maxCtrlQueue; i++ {
+				if r.push(fb) {
+					t.Fatalf("push %d refused below the bound", i)
+				}
+			}
+			refused := NewFrame([]byte{1})
+			if !r.push(refused) {
+				t.Fatal("push past maxCtrlQueue was accepted")
+			}
+			if refused.Refs() != 1 {
+				t.Fatalf("refused frame refs = %d, want 1 (not retained)", refused.Refs())
+			}
+			r.closeRelease()
+			if fb.Refs() != 1 {
+				t.Fatalf("queued frame refs after close = %d, want 1", fb.Refs())
+			}
+		}},
+		{"grown ring drained empty is back to 64 slots", 64, true, func(t *testing.T, r *frameRing) {
+			fill(t, r, 0, 65)
+			if len(r.buf) != 128 {
+				t.Fatalf("ring holding 65 frames has %d slots, want 128", len(r.buf))
+			}
+			drain(t, r, 64, 0, 64)
+			if len(r.buf) != 128 {
+				t.Fatalf("a partial drain resized the ring to %d slots", len(r.buf))
+			}
+			drain(t, r, 0, 64, 1)
+			if len(r.buf) != 64 {
+				t.Fatalf("ring drained empty has %d slots, want 64", len(r.buf))
+			}
+			fill(t, r, 100, 3)
+			drain(t, r, 0, 100, 3)
+		}},
+		{"closed lossless ring discards", 4, true, func(t *testing.T, r *frameRing) {
+			fb := NewFrame([]byte{0})
+			r.push(fb)
+			r.closeRelease()
+			if r.push(fb) {
+				t.Fatal("push on a closed ring reported a loss")
+			}
+			if fb.Refs() != 1 {
+				t.Fatalf("closed ring kept a reference: refs=%d", fb.Refs())
+			}
+			drain(t, r, 0, 0, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFrameRing(tc.capacity)
+			r.lossless = tc.lossless
+			tc.run(t, r)
+		})
 	}
-	releaseFrames(got)
 }
 
 func TestFrameRingClosedDiscards(t *testing.T) {

@@ -1045,12 +1045,12 @@ func decodeEnvelope(dec *wire.Decoder, budget int, sc *envScratch) (*envelope, e
 
 // ---- connection codec ----
 
-// defaultCoalesceBytes is the hybrid egress threshold when the session
-// config leaves CoalesceBytes zero: frames shorter than this are gathered
-// (copied) into one shared iovec before the writev, larger frames ride as
-// their own zero-copy iovec entries. ~1KB keeps tiny control/ack/sample
-// frames — where an iovec entry costs more than the memcpy — out of the
-// kernel's per-segment accounting while bulk payloads stay copy-free.
+// defaultCoalesceBytes is every codec's hybrid egress threshold: frames
+// shorter than this are gathered (copied) into one shared iovec before the
+// writev, larger frames ride as their own zero-copy iovec entries. ~1KB
+// keeps tiny control/ack/sample frames — where an iovec entry costs more
+// than the memcpy — out of the kernel's per-segment accounting while bulk
+// payloads stay copy-free.
 const defaultCoalesceBytes = 1024
 
 // BuffersWriter is the exported half of the vectored-write capability

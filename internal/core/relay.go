@@ -224,7 +224,7 @@ func (w *relayWorker) notify() (woken bool) {
 	obs := *w.s.obsView.Load()
 	for i := w.idx; i < len(obs); i += w.n {
 		cc := obs[i]
-		if cc.out.length() > 0 || cc.ctrlPending() > 0 {
+		if cc.out.length() > 0 || cc.ctrl.length() > 0 {
 			w.s.notifyWriter(cc)
 			woken = true
 		}

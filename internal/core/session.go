@@ -57,13 +57,6 @@ type SessionConfig struct {
 	// 0 selects 25ms; negative disables coalescing (observers are flushed
 	// per frame, like the steering tier but off the session goroutine).
 	ObserverInterval time.Duration
-	// CoalesceBytes is the vectored egress hybrid threshold: when a batch
-	// takes the writev path, frames shorter than this are gathered
-	// (copied) into one shared iovec entry while frames at or above it
-	// ride as their own zero-copy entries. 0 selects ~1KB; negative
-	// disables gathering (every frame its own iovec entry). Conns without
-	// vectored-write support ignore it — they keep the buffered fallback.
-	CoalesceBytes int
 	// MasterLease bounds how long the master may go silent before the
 	// session's maintenance sweep takes the floor away: a wedged or
 	// partitioned master loses it within 1.25×MasterLease of its last
@@ -250,7 +243,8 @@ type clientConn struct {
 	// overwritten in place so a slow client sees the freshest data. ctrl is
 	// the separate control-frame queue, drained with priority, so a sample
 	// burst can never starve or evict an event, param update or master
-	// change. Synchronous acks bypass both with a deadline write. Both
+	// change; on a journaled session it is lossless (see frameRing).
+	// Synchronous acks bypass both with a deadline write. Both
 	// queues are rings of refcounted *FrameBuf: a broadcast serializes once
 	// into a pooled buffer and every queue slot holds a reference to it
 	// (encode-once, allocate-rarely fan-out).
@@ -263,19 +257,6 @@ type clientConn struct {
 	// drain the queues before then, or the client would see a
 	// sample/control frame as its first post-attach message.
 	welcomed atomic.Bool
-	// stash overflows the ctrl queue on a journaled session, whose control
-	// delivery is lossless: a frame that finds the ring full lands here
-	// instead of evicting an older one, and every later frame follows it
-	// until the stash is empty again, so ring-then-stash is arrival order.
-	// Pre-welcome it absorbs what arrives during the welcome + catch-up
-	// writes and drains at the go-live handoff; once live, the writer takes
-	// from it whenever the ring runs dry. Stashed frames are retained; the
-	// drain (or the drop cleanup) releases them. stashed mirrors len(stash)
-	// for the lock-free pending checks.
-	stashMu     sync.Mutex
-	stash       []*FrameBuf
-	stashClosed bool
-	stashed     atomic.Int64
 	// handle is the writer's view of this client.
 	handle *ClientHandle
 }
@@ -291,82 +272,6 @@ func (cc *clientConn) markGone() {
 		close(cc.gone)
 		cc.codec.close()
 	})
-}
-
-// maxCtrlStash bounds the control overflow stash; a client that falls this
-// many control frames behind is beyond saving.
-const maxCtrlStash = 16384
-
-// queueCtrl is the lossless control push of a journaled session: into the
-// ring while it has room and nothing is stashed, else onto the stash
-// (retaining fb). It reports false when the stash bound is exhausted. The
-// decision runs under stashMu, which is what keeps a frame from slipping
-// into the ring ahead of older stashed ones. Stashed references are
-// released by the stash's consumer or by closeStash; a dropped client's
-// closed ring discards, as push does.
-//
-//steer:owns
-func (cc *clientConn) queueCtrl(fb *FrameBuf) bool {
-	cc.stashMu.Lock() //steer:allow hotpathalloc journaled sessions only; per-client mutex ordering the ctrl ring against its overflow stash
-	defer cc.stashMu.Unlock()
-	if len(cc.stash) == 0 && cc.ctrl.tryPush(fb) {
-		return true
-	}
-	if cc.stashClosed {
-		return true // dropped: discard, like a closed ring
-	}
-	if len(cc.stash) >= maxCtrlStash {
-		return false
-	}
-	fb.Retain()
-	cc.stash = append(cc.stash, fb)
-	cc.stashed.Store(int64(len(cc.stash)))
-	return true
-}
-
-// unstash appends up to max-len(dst) of the oldest stashed frames to dst
-// (max <= 0 takes them all); the references transfer to the caller. It must
-// follow a drain that emptied the ring: while anything is stashed no push
-// enters the ring, so the ring is still empty and the stash head is the
-// next frame in arrival order.
-func (cc *clientConn) unstash(dst []*FrameBuf, max int) []*FrameBuf {
-	cc.stashMu.Lock() //steer:allow hotpathalloc only when the stash holds overflow; per-client mutex guarding the stash slice
-	defer cc.stashMu.Unlock()
-	k := len(cc.stash)
-	if max > 0 && max-len(dst) < k {
-		k = max - len(dst)
-	}
-	dst = append(dst, cc.stash[:k]...)
-	clear(cc.stash[:k])
-	if cc.stash = cc.stash[k:]; len(cc.stash) == 0 {
-		cc.stash = nil
-	}
-	cc.stashed.Store(int64(len(cc.stash)))
-	return dst
-}
-
-// ctrlPending returns the queued control frames, ring and stash together.
-func (cc *clientConn) ctrlPending() int {
-	return cc.ctrl.length() + int(cc.stashed.Load())
-}
-
-// closeStash releases stashed frames and refuses future stashes; part of
-// the drop cleanup.
-func (cc *clientConn) closeStash() {
-	cc.stashMu.Lock()
-	cc.stashClosed = true
-	stash := cc.stash
-	cc.stash = nil
-	cc.stashed.Store(0)
-	cc.stashMu.Unlock()
-	releaseFrames(stash)
-}
-
-// drainBacklog empties the pre-welcome control backlog in arrival order:
-// the ctrl queue holds the older frames, the stash their overflow. The
-// caller owns (and must release) the returned references.
-func (cc *clientConn) drainBacklog() []*FrameBuf {
-	return cc.unstash(cc.ctrl.drainInto(nil, 0), 0)
 }
 
 // NewSession creates a session ready to accept clients.
@@ -678,7 +583,7 @@ func (s *Session) ServePending(p *PendingConn) error {
 		cc.welcomed.Store(true)
 	} else {
 		// Go-live handoff: frames broadcast during the welcome and
-		// catch-up writes sit in the ctrl queue and the overflow stash.
+		// catch-up writes sit in the (lossless) ctrl queue.
 		// Large backlogs drain in unlocked rounds — a slow late joiner
 		// must never make a broadcast wait on its socket — and the final
 		// round holds the attach barrier only for memory work: steal the
@@ -687,13 +592,13 @@ func (s *Session) ServePending(p *PendingConn) error {
 		// every session lock; a live drain racing in queues behind the
 		// held write lock, so the first bytes after the catch-up are the
 		// backlog, in order, followed only by strictly newer traffic. A
-		// client that cannot outpace the broadcast rate grows its stash
-		// to the cap and is declared dead, which ends the loop.
+		// client that cannot outpace the broadcast rate grows its queue
+		// to maxCtrlQueue and is declared dead, which ends the loop.
 		for {
-			backlog := cc.drainBacklog()
+			backlog := cc.ctrl.drainInto(nil, 0)
 			if len(backlog) <= 64 {
 				s.attachMu.Lock()
-				backlog = append(backlog, cc.drainBacklog()...)
+				backlog = cc.ctrl.drainInto(backlog, 0)
 				cc.codec.lockWrites()
 				cc.welcomed.Store(true)
 				s.attachMu.Unlock()
@@ -811,16 +716,12 @@ func (s *Session) admitLocked(a *attachMsg, c *codec) (*clientConn, error) {
 		ctrl:       newFrameRing(64),
 		gone:       make(chan struct{}),
 	}
+	cc.ctrl.lossless = s.cfg.Journal != nil
 	cc.handle = &ClientHandle{s: s, cc: cc}
-	// Bind the codec's egress layer to this session: the shared counter
-	// block, and the configured coalesce threshold (0 keeps the codec's
-	// ~1KB default; negative disables gathering). Safe without the write
-	// lock — the welcome, the first write this codec sees post-admit,
-	// happens after admit returns.
+	// Bind the codec's egress counters to this session's shared block. Safe
+	// without the write lock — the welcome, the first write this codec sees
+	// post-admit, happens after admit returns.
 	c.egr = &s.egress
-	if s.cfg.CoalesceBytes != 0 {
-		c.coalesce = s.cfg.CoalesceBytes
-	}
 	cc.desc.Store(newClientDesc(a.Tier, a.Subs))
 	if a.Tier == TierObserver {
 		s.ensureRelayLocked()
@@ -896,7 +797,6 @@ func (s *Session) drop(cc *clientConn) {
 	// pre-drop snapshot discards instead of stranding references.
 	cc.ctrl.closeRelease()
 	cc.out.closeRelease()
-	cc.closeStash()
 	mc.emit(s)
 }
 
@@ -1120,7 +1020,13 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 				filtered++
 				continue
 			}
-			s.routeCtrl(cc, fb)
+			// A lost frame is an eviction, except on a journaled session:
+			// there the ring is lossless (an evicted frame would be in
+			// neither the catch-up replay nor the queue) and reports a
+			// loss only by refusing at maxCtrlQueue, past saving.
+			if cc.ctrl.push(fb) && journaled {
+				cc.markGone()
+			}
 			if keyed && rl != nil && d.tier == TierObserver {
 				deferred = true
 				continue
@@ -1172,23 +1078,6 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 	}
 	fb.Release()
 	return true
-}
-
-// routeCtrl queues one control frame toward a client. A full ring evicts
-// its oldest entry — except on a journaled session, which promises every
-// client the full event history: there an eviction would lose a frame that
-// is in neither the client's catch-up replay nor its queue, so a full ring
-// overflows to the stash instead (queueCtrl), before the welcome — when no
-// writer drains yet — and after it alike. A client that exhausts the stash
-// bound is beyond saving.
-func (s *Session) routeCtrl(cc *clientConn, fb *FrameBuf) {
-	if s.cfg.Journal != nil {
-		if !cc.queueCtrl(fb) {
-			cc.markGone()
-		}
-		return
-	}
-	cc.ctrl.push(fb)
 }
 
 // notifyWriter hands cc to the session's writer for a drain. Notifies are

@@ -161,8 +161,8 @@ func TestBroadcastStressAttachDetach(t *testing.T) {
 }
 
 // TestBroadcastStressJournaled repeats a smaller storm on a journaled
-// session: the attach barrier, the journal tap and the pre-welcome stash
-// path all run under -race while late joiners attach mid-storm. Every
+// session: the attach barrier, the journal tap and the lossless control
+// queue all run under -race while late joiners attach mid-storm. Every
 // surviving client must converge on the full event history, duplicate-free
 // (the exactly-once guarantee, with catch-up keeping the replayed frames
 // themselves).
@@ -222,9 +222,9 @@ func (holdWriter) ClientReady(*ClientHandle) {}
 
 // TestJournaledCtrlOverflowLossless: a live client whose writer falls
 // behind a control burst loses nothing on a journaled session — the full
-// ring overflows into the stash, and the drains deliver ring then stash,
-// every event once, in emission order. Without a journal the ring stays
-// lossy: the same burst leaves only the newest ring-full.
+// ring grows instead of evicting, and the drains deliver every event once,
+// in emission order. Without a journal the ring stays lossy: the same burst
+// leaves only the newest ring-full.
 func TestJournaledCtrlOverflowLossless(t *testing.T) {
 	const burst = 200
 	for _, journaled := range []bool{true, false} {
@@ -249,7 +249,7 @@ func TestJournaledCtrlOverflowLossless(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if n := cc.ctrlPending(); n != 0 {
+			if n := cc.ctrl.length(); n != 0 {
 				t.Fatalf("%d control frames still queued after the drains", n)
 			}
 
@@ -277,5 +277,123 @@ func TestJournaledCtrlOverflowLossless(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJournaledCtrlQueueBound: a journaled client whose writer never drains
+// is declared gone when its control queue would exceed maxCtrlQueue frames,
+// and dropping it releases every queued reference.
+func TestJournaledCtrlQueueBound(t *testing.T) {
+	s := NewSession(SessionConfig{Name: "bound", Writer: holdWriter{}, Journal: discardSink{}})
+	defer s.Close()
+	cc, err := s.admit(&attachMsg{Name: "stuck"}, newCodec(discardConn{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.welcomed.Store(true)
+	frames := make([]*FrameBuf, maxCtrlQueue+1)
+	for i := range frames {
+		fb := GetFrame(16)
+		fb.AppendBytes([]byte("event"))
+		frames[i] = fb
+		fb.Retain() // the fan-out consumes one reference; the test keeps its own
+		s.fanout(JournalEvent, fb, true)
+		select {
+		case <-cc.gone:
+			if i < maxCtrlQueue {
+				t.Fatalf("declared gone after %d queued frames, bound is %d", i+1, maxCtrlQueue)
+			}
+		default:
+			if i == maxCtrlQueue {
+				t.Fatalf("still live with %d control frames queued", i+1)
+			}
+		}
+	}
+	if n := cc.ctrl.length(); n != maxCtrlQueue {
+		t.Fatalf("queued %d control frames, want %d", n, maxCtrlQueue)
+	}
+	s.drop(cc)
+	for i, fb := range frames {
+		if fb.Refs() != 1 {
+			t.Fatalf("frame %d refs = %d after the drop, want 1 (the producer's)", i, fb.Refs())
+		}
+		fb.Release()
+	}
+	if _, _, err := cc.handle.drainBatch(poolBatch); err != ErrClientGone {
+		t.Fatalf("drain of a dropped client = %v, want ErrClientGone", err)
+	}
+}
+
+// discardSink journals nothing: it makes a session journaled (lossless
+// control delivery) without keeping a history the test does not read.
+type discardSink struct{}
+
+func (discardSink) Record(JournalClass, *FrameBuf)         {}
+func (discardSink) Replay(func(JournalClass, []byte) bool) {}
+
+// capturedEvents decodes the envelopes a captureConn received and returns
+// the event strings in arrival order.
+func capturedEvents(t *testing.T, conn *captureConn) []string {
+	t.Helper()
+	dec := wire.NewDecoder(bytes.NewReader(conn.data.Bytes()))
+	var got []string
+	for {
+		e, err := decodeEnvelope(dec, clientEnvelopeBudget, new(envScratch))
+		if err != nil {
+			return got
+		}
+		if e.Type == msgEvent {
+			got = append(got, e.Event)
+		}
+	}
+}
+
+// TestJournaledCtrlOrderUnderConcurrentDrain: on a journaled session a live
+// client receives every event exactly once and in emission order while a
+// burst overflows its control queue and the writer drains concurrently.
+// An ordering fault here shows only when a drain is interrupted at the
+// wrong moment, so the test repeats the race for many rounds.
+func TestJournaledCtrlOrderUnderConcurrentDrain(t *testing.T) {
+	const rounds, events = 25, 12000
+	for round := 0; round < rounds; round++ {
+		s := NewSession(SessionConfig{Name: "order", Writer: holdWriter{}, Journal: discardSink{}})
+		conn := &captureConn{}
+		cc, err := s.admit(&attachMsg{Name: "reader"}, newCodec(conn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc.welcomed.Store(true)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < events; i++ {
+				s.broadcastEvent(fmt.Sprintf("ev-%05d", i))
+			}
+		}()
+		for emitting := true; emitting; {
+			select {
+			case <-done:
+				emitting = false
+			default:
+			}
+			if _, _, err := cc.handle.drainBatch(poolBatch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for more := true; more; {
+			if _, more, err = cc.handle.drainBatch(poolBatch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := capturedEvents(t, conn)
+		s.Close()
+		if len(got) != events {
+			t.Fatalf("round %d: delivered %d events, want %d", round, len(got), events)
+		}
+		for i, ev := range got {
+			if want := fmt.Sprintf("ev-%05d", i); ev != want {
+				t.Fatalf("round %d: event %d = %q, want %q", round, i, ev, want)
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ type ClientHandle struct {
 func (h *ClientHandle) Name() string { return h.cc.name }
 
 // pending returns the number of queued envelopes awaiting a drain.
-func (h *ClientHandle) pending() int { return h.cc.ctrlPending() + h.cc.out.length() }
+func (h *ClientHandle) pending() int { return h.cc.ctrl.length() + h.cc.out.length() }
 
 // markScheduled flips the edge-trigger flag; it reports true when the caller
 // won the race and must enqueue the handle for draining.
@@ -90,12 +90,8 @@ func (h *ClientHandle) drainBatch(max int) (int, bool, error) {
 	default:
 	}
 	// Control frames first: a sample burst must not delay events, parameter
-	// updates or master changes. A journaled session's control overflow
-	// (the stash) follows once the ring has run dry.
+	// updates or master changes.
 	frames := cc.ctrl.drainInto(h.frames[:0], max)
-	if (max <= 0 || len(frames) < max) && cc.stashed.Load() > 0 {
-		frames = cc.unstash(frames, max)
-	}
 	frames = cc.out.drainInto(frames, max)
 	h.frames = frames
 	if len(frames) == 0 {

@@ -244,12 +244,6 @@ func (h *Hub) CreateSession(cfg core.SessionConfig) (*core.Session, error) {
 	if cfg.ObserverInterval == 0 {
 		cfg.ObserverInterval = h.cfg.SessionDefaults.ObserverInterval
 	}
-	// Egress coalescing follows the unset-only rule too: 0 inherits the
-	// hub default, explicit negative keeps its core meaning (gathering
-	// disabled, every frame its own iovec entry).
-	if cfg.CoalesceBytes == 0 {
-		cfg.CoalesceBytes = h.cfg.SessionDefaults.CoalesceBytes
-	}
 	sh := h.shards[h.ring.lookup(cfg.Name)]
 	// Reserve the name before touching any journal directory: a duplicate
 	// create must fail here, never run recovery (and its torn-tail
