@@ -343,8 +343,10 @@ func (c *Client) Tier() Tier {
 }
 
 // ObserverInterval returns the session's advertised observer interval: the
-// longest unprompted spacing between observer flushes. Steer-caused frames
-// are not held for it; <= 0 means every observer frame flushes at once.
+// longest unprompted spacing between observer flushes, in whole
+// milliseconds (a positive interval is rounded up). Steer-caused frames and
+// parameter updates are not held for it; <= 0 means every observer frame
+// flushes at once.
 func (c *Client) ObserverInterval() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -50,10 +50,10 @@ type SessionConfig struct {
 	// its ring coalesces to freshest-wins batches. It is a rate limit, not a
 	// delay — a frame arriving an interval or more after the last flush
 	// leaves at once, and steer-caused frames are not held (see relay.go).
-	// Parameter updates toward observers are subject to it as well: one
-	// with no sample behind it (a paused or rarely emitting application)
-	// leaves under the same limit, so an observer's parameter view can be
-	// up to one interval stale.
+	// Parameter updates toward observers are not held for it: one with no
+	// sample behind it (a paused or rarely emitting application, or an
+	// observer that watches no emitted channel) leaves within 1ms, or
+	// within the interval if that is shorter.
 	// 0 selects 25ms; negative disables coalescing (observers are flushed
 	// per frame, like the steering tier but off the session goroutine).
 	ObserverInterval time.Duration
@@ -563,7 +563,7 @@ func (s *Session) ServePending(p *PendingConn) error {
 		Policy:         s.cfg.FloorPolicy,
 		FloorSeq:       s.floor.seq,
 		Tier:           cc.desc.Load().tier,
-		ObserverMillis: s.cfg.ObserverInterval.Milliseconds(),
+		ObserverMillis: observerMillis(s.cfg.ObserverInterval),
 	}}
 	s.mu.Unlock()
 	if err := cc.codec.write(welcome, s.cfg.ControlTimeout); err != nil {
@@ -636,6 +636,16 @@ func (s *Session) ServePending(p *PendingConn) error {
 			return err
 		}
 	}
+}
+
+// observerMillis is the welcome's observer interval in whole milliseconds.
+// A positive interval rounds up: truncated, a sub-millisecond one would
+// read as 0, which clients take for "every observer frame flushes at once".
+func observerMillis(d time.Duration) int64 {
+	if d > 0 {
+		d += time.Millisecond - 1
+	}
+	return d.Milliseconds()
 }
 
 // admitWithCatchup fetches the journal catch-up replay and registers the
@@ -1007,8 +1017,9 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 		// goes to everyone. Writers are woken inline too, except a param
 		// update toward the observer tier: the relay workers own that
 		// wakeup, so the update leaves in one batch with the pushed sample
-		// that follows the steer (within ObserverInterval if none does) and
-		// the simulation goroutine pays no per-observer wakeup per steer.
+		// that follows the steer (within ctrlBound toward an observer the
+		// sample does not reach) and the simulation goroutine pays no
+		// per-observer wakeup per steer.
 		clients := *s.clientsView.Load()
 		keyed := len(fb.keys) > 0
 		rl := s.relay.Load()
@@ -1034,7 +1045,7 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 			s.notifyWriter(cc)
 		}
 		if deferred {
-			rl.wake()
+			rl.wakeCtrl()
 		}
 		if filtered > 0 {
 			s.statFramesFiltered.Add(filtered)
