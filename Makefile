@@ -126,9 +126,9 @@ bench-smoke:
 		&& echo "$$out" | grep -q 'BenchmarkBroadcastInterest$$' \
 		&& echo "$$out" | grep -q BenchmarkEgressWritev \
 		|| { echo 'bench-smoke: broadcast hot-path benchmarks missing'; exit 1; }
-	@out=$$($(GO) test -run '^$$' -list 'BenchmarkEnvelopeDecode' ./internal/core); \
-	echo "$$out" | grep -q 'BenchmarkEnvelopeDecode$$' \
-		|| { echo 'bench-smoke: envelope decode benchmark missing'; exit 1; }
+	@out=$$($(GO) test -run '^$$' -list 'Benchmark(EnvelopeDecode|ProtocolCodec)' ./internal/core); \
+	echo "$$out" | grep -q 'BenchmarkEnvelopeDecode$$' && echo "$$out" | grep -q 'BenchmarkProtocolCodec$$' \
+		|| { echo 'bench-smoke: envelope codec benchmarks missing'; exit 1; }
 	@out=$$($(GO) test -run '^$$' -list 'BenchmarkE12_CollaborationScaling' .); \
 	echo "$$out" | grep -q BenchmarkE12_CollaborationScaling \
 		|| { echo 'bench-smoke: E12 live-hub collaboration benchmark missing'; exit 1; }

@@ -312,13 +312,13 @@ func TestMasterHandoff(t *testing.T) {
 	m := dial(AttachOptions{Name: "juelich"})
 	o := dial(AttachOptions{Name: "phoenix"})
 
-	if err := o.HandoffMaster("juelich", time.Second); err == nil {
+	if err := o.GrantMaster("juelich", time.Second); err == nil {
 		t.Fatal("non-master handed off")
 	}
-	if err := m.HandoffMaster("nosuch", time.Second); err == nil {
+	if err := m.GrantMaster("nosuch", time.Second); err == nil {
 		t.Fatal("handoff to unknown client accepted")
 	}
-	if err := m.HandoffMaster("phoenix", time.Second); err != nil {
+	if err := m.GrantMaster("phoenix", time.Second); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "role propagation", func() bool {

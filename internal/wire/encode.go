@@ -95,6 +95,26 @@ func AppendBools(buf []byte, tag uint32, v []bool) []byte {
 	return buf
 }
 
+// CountFrames returns the number of frames in buf, which must hold whole
+// frames as the Append builders write them. It reads back only the fixed
+// headers and the length prefixes of string and bytes elements, so a codec
+// can append a variable set of frames and count them afterwards.
+func CountFrames(buf []byte) int {
+	n := 0
+	for ; len(buf) >= headerSize; n++ {
+		kind, count := Kind(buf[8]), int(binary.BigEndian.Uint32(buf[12:headerSize]))
+		buf = buf[headerSize:]
+		if size := kind.size(); size > 0 {
+			buf = buf[size*count:]
+			continue
+		}
+		for ; count > 0; count-- {
+			buf = buf[4+int(binary.BigEndian.Uint32(buf)):]
+		}
+	}
+	return n
+}
+
 // An Encoder writes messages to an output stream. It buffers one message at
 // a time and is not safe for concurrent use; wrap writes in the caller's own
 // synchronisation when a connection is shared.

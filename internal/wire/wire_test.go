@@ -326,3 +326,54 @@ func TestQuickDecodeGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCountFrames counts frames from every Append builder, all seven kinds,
+// including zero-count frames and empty strings and blobs: after each
+// append the count must match the frames written so far, and the decoder
+// must read back exactly that many.
+func TestCountFrames(t *testing.T) {
+	if n := CountFrames(nil); n != 0 {
+		t.Fatalf("empty buffer: %d frames", n)
+	}
+	appends := []func([]byte) []byte{
+		func(b []byte) []byte { return AppendInt32s(b, 1, []int32{1, -2, 3}) },
+		func(b []byte) []byte { return AppendInt32s(b, 1, nil) },
+		func(b []byte) []byte { return AppendInt64s(b, 2, []int64{math.MaxInt64}) },
+		func(b []byte) []byte { return AppendInt64s(b, 2, nil) },
+		func(b []byte) []byte { return AppendFloat32s(b, 3, []float32{0.5, 1}) },
+		func(b []byte) []byte { return AppendFloat32s(b, 3, nil) },
+		func(b []byte) []byte { return AppendFloat64s(b, 4, []float64{1, 2, 3, 4}) },
+		func(b []byte) []byte { return AppendFloat64s(b, 4, nil) },
+		func(b []byte) []byte {
+			b = AppendHeader(b, 4, KindFloat64, 2)
+			return AppendFloat64(AppendFloat64(b, 1), 2)
+		},
+		func(b []byte) []byte { return AppendStrings(b, 5, []string{"alpha", "", "gamma"}) },
+		func(b []byte) []byte { return AppendStrings(b, 5, []string{""}) },
+		func(b []byte) []byte { return AppendStrings(b, 5, nil) },
+		func(b []byte) []byte { return AppendBytes(b, 6, []byte{1, 2, 3}) },
+		func(b []byte) []byte { return AppendBytes(b, 6, nil) },
+		func(b []byte) []byte { return AppendBools(b, 7, []bool{true, false, true}) },
+		func(b []byte) []byte { return AppendBools(b, 7, nil) },
+	}
+	var buf []byte
+	for i, app := range appends {
+		buf = app(buf)
+		if n := CountFrames(buf); n != i+1 {
+			t.Fatalf("after %d appends: CountFrames = %d", i+1, n)
+		}
+	}
+	dec := NewDecoder(bytes.NewReader(buf))
+	decoded := 0
+	for {
+		if _, err := dec.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("decode frame %d: %v", decoded, err)
+		}
+		decoded++
+	}
+	if decoded != len(appends) {
+		t.Fatalf("decoded %d frames, counted %d", decoded, len(appends))
+	}
+}
