@@ -395,15 +395,6 @@ func (s *Session) dropFloorLocked(cc *clientConn) masterChange {
 	return s.grantToLocked("", FloorVacated)
 }
 
-// now returns the session's clock reading (SessionConfig.Clock lets
-// deterministic lease tests inject a virtual clock).
-func (s *Session) now() time.Time {
-	if s.cfg.Clock != nil {
-		return s.cfg.Clock()
-	}
-	return time.Now()
-}
-
 // sweepFloor is the maintenance sweep: if the master's lease has lapsed —
 // no inbound frame for longer than MasterLease — the floor passes to the
 // next queued requester (or falls free). The wedged client stays attached
@@ -426,22 +417,14 @@ func (s *Session) sweepFloor() bool {
 	return true
 }
 
-// floorSweeper drives sweepFloor until the session closes. The interval is
-// a quarter of the lease, so a wedged master loses the floor within
-// 1.25×MasterLease of its last inbound frame.
-func (s *Session) floorSweeper() {
-	interval := s.cfg.MasterLease / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
+// leaseTick is the lease timer's callback: a sweep, then a re-arm at a
+// quarter of the lease (a wedged master loses the floor within
+// 1.25×MasterLease of its last frame) unless Close, under s.mu, came first.
+func (s *Session) leaseTick() {
+	s.sweepFloor()
+	s.mu.Lock()
+	if !s.closed {
+		s.leaseTimer.Reset(max(s.cfg.MasterLease/4, time.Millisecond))
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.sweepFloor()
-		case <-s.closeCh:
-			return
-		}
-	}
+	s.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,7 +218,7 @@ func TestLeaseExpiryDeterministic(t *testing.T) {
 	var offset atomic.Int64 // virtual clock: real time + offset
 	s, dial := testSession(t, SessionConfig{
 		Name: "lease", MasterLease: time.Hour,
-		Clock: func() time.Time { return time.Now().Add(time.Duration(offset.Load())) },
+		clock: func() time.Time { return time.Now().Add(time.Duration(offset.Load())) },
 	})
 
 	// The master's heartbeats are disabled: after the attach it is wedged.
@@ -271,7 +272,19 @@ func TestLeaseExpiryDeterministic(t *testing.T) {
 	}
 }
 
-// TestLeaseExpirySweeper exercises the real maintenance sweeper end to end:
+// TestLeaseSweepCostsNoGoroutine: a leased session's sweep is a
+// self-re-arming timer, not a goroutine, so NewSession starts none and
+// Close leaves none behind. Goroutines a straggling earlier test still
+// winds down may only lower the count, so both checks wait for it to settle.
+func TestLeaseSweepCostsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewSession(SessionConfig{MasterLease: time.Hour, Writer: &inlineWriter{batch: 16}})
+	waitFor(t, "NewSession to add no goroutine", func() bool { return runtime.NumGoroutine() <= base })
+	s.Close()
+	waitFor(t, "Close to leave no goroutine", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestLeaseExpirySweeper exercises the real lease timer end to end:
 // with a short lease and a wedged master, the floor moves without any test
 // intervention, within a small multiple of the lease.
 func TestLeaseExpirySweeper(t *testing.T) {
@@ -285,7 +298,7 @@ func TestLeaseExpirySweeper(t *testing.T) {
 	if err := o.RequestMaster(ctx); err != nil {
 		t.Fatalf("RequestMaster: %v", err)
 	}
-	// The sweeper runs at lease/4, so the floor must move within
+	// The sweep runs at lease/4, so the floor must move within
 	// 1.25×lease of the master's last frame; allow generous CI slack while
 	// still proving bounded, sub-second takeover.
 	if elapsed := time.Since(start); elapsed > 3*time.Second {

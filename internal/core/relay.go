@@ -20,23 +20,24 @@ import (
 // observer's own sample ring coalesces again between writer wakeups.
 //
 // The workers are also the single owner of observer-tier writer wakeups,
-// under one policy (run, below) with two bounds. Samples: ObserverInterval
-// is a rate limit, not a delay. A worker flushes at once when its last
-// sample flush is at least an interval old, otherwise when the interval
-// since that flush has passed — so a dense stream still reaches a slow
-// observer as freshest-wins batches, at most one unprompted flush per
-// interval, while a sparse one stops waiting for a tick. A frame stamped
-// FrameBuf.push — the first sample and first blob after an applied steer —
-// is not held at all: the worker that drains it flushes now, TCP's PSH for
-// steers, at a cost bounded by the steer rate. A sample flush wakes only
-// the observers with a sample queued, so the ones watching the steer's
-// effect are not written behind those that hold nothing but its parameter
-// update. Control: parameter updates toward observers are queued inline by
-// fanout but their wakeup is handed here (wakeCtrl). An observer with a
-// sample queued takes its update along, ctrl first, in the same batch; the
-// rest are woken by a control flush at most ctrlBound after the worker saw
-// the update, which does not restart the sample window. When both fall due
-// in one pass, the sample holders are woken first.
+// under one rule with two bounds, stated once as a pure step (flushRule);
+// run only waits, on one token that a publish and the rule's deadline — an
+// AfterFunc — both leave. Samples: ObserverInterval is a rate limit, not a
+// delay. A worker flushes at once when its last sample flush that woke a
+// writer is at least an interval old, otherwise an interval after it — so
+// a dense stream reaches a slow observer as freshest-wins batches, at most
+// one unprompted flush per interval, while a sparse one waits for no tick.
+// A frame stamped FrameBuf.push — the first sample and first blob after an
+// applied steer — is not held: the worker that drains it flushes now,
+// TCP's PSH for steers, at a cost bounded by the steer rate. A sample
+// flush wakes only the observers with a sample queued, so those watching
+// the steer's effect are not written behind those that hold only its
+// parameter update. Control: parameter updates toward observers are queued
+// inline by fanout but their wakeup is handed here (wakeCtrl). An observer
+// with a sample queued takes its update along, ctrl first, in the same
+// batch; the rest are woken by a control flush at most ctrlBound after the
+// worker saw the update, which does not restart the sample window. When
+// both fall due in one pass, the sample holders are woken first.
 
 // relayQueue bounds a worker's input ring; beyond it the oldest undelivered
 // frame is coalesced away (observers want freshest, not complete).
@@ -88,10 +89,7 @@ func (s *Session) ensureRelayLocked() {
 	if s.relay.Load() != nil {
 		return
 	}
-	n := s.cfg.FanoutWorkers
-	if n <= 0 {
-		n = 1
-	}
+	n := s.cfg.FanoutWorkers // NewSession resolved it to at least one
 	rl := &relay{s: s, workers: make([]*relayWorker, n)}
 	for i := range rl.workers {
 		w := &relayWorker{
@@ -130,10 +128,15 @@ func (rl *relay) publish(fb *FrameBuf) {
 //steer:hotpath
 func (rl *relay) wake() {
 	for _, w := range rl.workers {
-		select {
-		case w.ready <- struct{}{}:
-		default:
-		}
+		w.wake()
+	}
+}
+
+// wake leaves the worker its token; its flush deadline leaves the same one.
+func (w *relayWorker) wake() {
+	select {
+	case w.ready <- struct{}{}:
+	default:
 	}
 }
 
@@ -149,82 +152,76 @@ func (rl *relay) wakeCtrl() {
 	rl.wake()
 }
 
+// flushRule is the file header's flush rule as a pure step: no goroutine,
+// channel, timer or clock read.
+type flushRule struct {
+	interval, bound time.Duration
+	held            bool      // observers may have samples queued since the last sample flush
+	last            time.Time // the last sample flush that woke a writer
+	ctrlDue         time.Time // when queued control must leave; zero when none waits
+}
+
+// step folds in one wakeup at now — a batch drained, a push-stamped frame
+// in it, control flagged — and reports which flushes are due.
+func (r *flushRule) step(now time.Time, drained, push, ctrl bool) (flushSamples, flushCtrl bool) {
+	r.held = r.held || drained
+	if ctrl && r.ctrlDue.IsZero() {
+		r.ctrlDue = now.Add(r.bound)
+	}
+	flushSamples = r.held && (push || !now.Before(r.last.Add(r.interval)))
+	flushCtrl = !r.ctrlDue.IsZero() && !now.Before(r.ctrlDue)
+	return flushSamples, flushCtrl
+}
+
+// done records the flushes step asked for and returns the next deadline,
+// zero when nothing is held. A sample flush that woke a writer restarts
+// the window, a push flush included; a control flush does not.
+func (r *flushRule) done(now time.Time, flushedSamples, flushedCtrl, woke bool) time.Time {
+	if woke {
+		r.last = now
+	}
+	if flushedSamples {
+		r.held = false
+	}
+	if flushedCtrl {
+		r.ctrlDue = time.Time{}
+	}
+	var due time.Time
+	if r.held {
+		due = r.last.Add(r.interval)
+	}
+	if !r.ctrlDue.IsZero() && (due.IsZero() || r.ctrlDue.Before(due)) {
+		due = r.ctrlDue
+	}
+	return due
+}
+
 // run is the worker loop. Each wakeup drains the input ring into observer
-// rings; what was delivered is then held until the sample rule in the file
-// header releases it, and control fanout queued meanwhile until its
-// deadline. The one timer is armed for the earlier of the two only while
+// rings and steps the flush rule, whose deadline is re-armed only while
 // something is held, so an idle session's workers sleep.
 func (w *relayWorker) run() {
-	interval := w.s.cfg.ObserverInterval
-	bound := min(ctrlBound, interval)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	defer timer.Stop()
-	var (
-		frames  []*FrameBuf
-		armedAt time.Time // the armed timer's deadline; zero once its value is taken
-		held    bool      // observers may have samples queued since the last sample flush
-		last    time.Time // the last sample flush that woke a writer
-		ctrlDue time.Time // when queued control must leave; zero when none waits
-	)
+	rule := flushRule{interval: w.s.cfg.ObserverInterval, bound: min(ctrlBound, w.s.cfg.ObserverInterval)}
+	deadline := stoppedAfterFunc(w.wake)
+	var frames []*FrameBuf
 	for {
-		push := false
 		select {
 		case <-w.ready:
-			frames = w.in.drainInto(frames[:0], 0)
-			if len(frames) > 0 {
-				push = w.deliver(frames)
-				held = true
-			}
-		case <-timer.C:
-			armedAt = time.Time{}
 		case <-w.s.closeCh:
+			deadline.Stop()
 			w.in.closeRelease()
 			return
 		}
-		now := time.Now()
-		if w.ctrl.Swap(false) && ctrlDue.IsZero() {
-			ctrlDue = now.Add(bound)
+		frames = w.in.drainInto(frames[:0], 0)
+		push := len(frames) > 0 && w.deliver(frames)
+		now := w.s.now()
+		samples, ctrl := rule.step(now, len(frames) > 0, push, w.ctrl.Swap(false))
+		woke := w.notify(samples, ctrl)
+		if woke && push {
+			w.s.statRelayPushed.Add(1)
 		}
-		samples := held && (push || !now.Before(last.Add(interval)))
-		ctrl := !ctrlDue.IsZero() && !now.Before(ctrlDue)
-		if samples || ctrl {
-			// A sample flush that woke a writer restarts the window, a
-			// push flush included (a timer still armed for the old window
-			// fires early and re-arms); a control flush does not.
-			if w.notify(samples, ctrl) {
-				last = now
-				if push {
-					w.s.statRelayPushed.Add(1)
-				}
-			}
-			if samples {
-				held = false
-			}
-			if ctrl {
-				ctrlDue = time.Time{}
-			}
+		if due := rule.done(now, samples, ctrl, woke); !due.IsZero() {
+			deadline.Reset(due.Sub(now))
 		}
-		var due time.Time
-		if held {
-			due = last.Add(interval)
-		}
-		if !ctrlDue.IsZero() && (due.IsZero() || ctrlDue.Before(due)) {
-			due = ctrlDue
-		}
-		if due.IsZero() || (!armedAt.IsZero() && !due.Before(armedAt)) {
-			continue
-		}
-		// Re-arm earlier. The drain covers both timer channel semantics: a
-		// fired value still buffered (go < 1.23) or none at all.
-		if !armedAt.IsZero() && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(due.Sub(now))
-		armedAt = due
 	}
 }
 

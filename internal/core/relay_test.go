@@ -433,3 +433,91 @@ func TestObserverCtrlWakeDuringFrameDrain(t *testing.T) {
 		func() bool { return rec.count("params") > 0 })
 	t.Logf("parameter-only observer woken %v after the worker's frame flush returned", took)
 }
+
+// TestFlushRule drives the relay's flush rule as the pure step it is: no
+// goroutine, no timer, no sleep. Each pass is one worker wakeup at an
+// offset from t0; a sample flush wakes a writer unless noWriter says the
+// worker found no observer with a sample queued.
+func TestFlushRule(t *testing.T) {
+	const (
+		ms   = time.Millisecond
+		none = time.Duration(-1) // no deadline
+	)
+	type pass struct {
+		at                   time.Duration
+		drained, push, ctrl  bool
+		noWriter             bool
+		samples, ctrlFlushed bool // the flushes the step must ask for
+		due                  time.Duration
+	}
+	t0 := time.Unix(1000, 0)
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+		passes   []pass
+	}{
+		{"push flush restarts the window", 25 * ms, []pass{
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 5 * ms, drained: true, push: true, samples: true, due: none},
+			{at: 10 * ms, drained: true, due: 30 * ms},
+		}},
+		{"interval flush after a hold inside the window", 25 * ms, []pass{
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 10 * ms, drained: true, due: 25 * ms},
+			{at: 24 * ms, due: 25 * ms},
+			{at: 25 * ms, samples: true, due: none},
+		}},
+		{"a sample flush that woke no writer keeps the window", 25 * ms, []pass{
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 30 * ms, drained: true, samples: true, noWriter: true, due: none},
+			{at: 35 * ms, drained: true, samples: true, due: none},
+			{at: 40 * ms, drained: true, due: 60 * ms},
+		}},
+		{"the first control flag sets the control deadline", 25 * ms, []pass{
+			{at: 0, ctrl: true, due: 1 * ms},
+			{at: ms / 2, ctrl: true, due: 1 * ms},
+			{at: 1 * ms, ctrlFlushed: true, due: none},
+		}},
+		{"a control flush keeps the window", 25 * ms, []pass{
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 5 * ms, drained: true, ctrl: true, due: 6 * ms},
+			{at: 6 * ms, ctrlFlushed: true, due: 25 * ms},
+			{at: 25 * ms, samples: true, due: none},
+		}},
+		{"both flushes due in one pass", 25 * ms, []pass{
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 24*ms + ms/2, drained: true, ctrl: true, due: 25 * ms},
+			{at: 25*ms + ms/2, samples: true, ctrlFlushed: true, due: none},
+		}},
+		{"negative interval flushes every pass, control at once", -1, []pass{
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 1, drained: true, samples: true, due: none},
+			{at: 2, ctrl: true, ctrlFlushed: true, due: none},
+			{at: 3, drained: true, ctrl: true, samples: true, ctrlFlushed: true, due: none},
+		}},
+		{"nothing held, no deadline", 25 * ms, []pass{
+			{at: 0, due: none},
+			{at: 0, drained: true, samples: true, due: none},
+			{at: 1 * ms, due: none},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rule := flushRule{interval: tc.interval, bound: min(ctrlBound, tc.interval)}
+			for i, p := range tc.passes {
+				now := t0.Add(p.at)
+				samples, ctrl := rule.step(now, p.drained, p.push, p.ctrl)
+				if samples != p.samples || ctrl != p.ctrlFlushed {
+					t.Fatalf("pass %d at %v: flush samples=%v ctrl=%v, want %v %v", i, p.at, samples, ctrl, p.samples, p.ctrlFlushed)
+				}
+				due := rule.done(now, samples, ctrl, samples && !p.noWriter)
+				want := time.Time{}
+				if p.due != none {
+					want = t0.Add(p.due)
+				}
+				if !due.Equal(want) {
+					t.Fatalf("pass %d at %v: deadline %v, want %v", i, p.at, due.Sub(t0), p.due)
+				}
+			}
+		})
+	}
+}

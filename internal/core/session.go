@@ -64,10 +64,9 @@ type SessionConfig struct {
 	// at a third of it. <= 0 disables lease expiry (pass a negative value
 	// to disable explicitly on a hub whose session defaults set a lease).
 	MasterLease time.Duration
-	// Clock overrides the session's time source; nil means time.Now. Only
-	// lease bookkeeping reads it — deterministic expiry tests inject a
-	// virtual clock here.
-	Clock func() time.Time
+	// clock is the session's one time source, read by lease bookkeeping and
+	// the relay's flush rule; nil means time.Now (tests set a virtual one).
+	clock func() time.Time
 }
 
 // Session is the hub connecting one steered application with any number of
@@ -173,8 +172,10 @@ type Session struct {
 	// named none; nil when cfg.Writer was supplied. Close stops it.
 	ownPool *WriterPool
 
-	closed  bool
-	closeCh chan struct{}
+	// leaseTimer runs leaseTick, armed only while MasterLease > 0.
+	leaseTimer *time.Timer
+	closed     bool
+	closeCh    chan struct{}
 }
 
 // Stats counts session activity; the experiments read these.
@@ -299,6 +300,9 @@ func NewSession(cfg SessionConfig) *Session {
 	if cfg.ObserverInterval == 0 {
 		cfg.ObserverInterval = defaultObserverInterval
 	}
+	if cfg.clock == nil {
+		cfg.clock = time.Now
+	}
 	s := &Session{
 		cfg:     cfg,
 		params:  newParamTable(),
@@ -319,10 +323,23 @@ func NewSession(cfg SessionConfig) *Session {
 	s.clientsView.Store(&[]*clientConn{})
 	s.steerView.Store(&[]*clientConn{})
 	s.obsView.Store(&[]*clientConn{})
+	s.leaseTimer = stoppedAfterFunc(s.leaseTick)
 	if cfg.MasterLease > 0 {
-		go s.floorSweeper()
+		s.leaseTick() // sweeps a session with no master yet, and arms the timer
 	}
 	return s
+}
+
+// now reads the session's clock.
+func (s *Session) now() time.Time { return s.cfg.clock() }
+
+// stoppedAfterFunc returns an AfterFunc timer that is not armed, so its
+// owner can store it before the first Reset. Every session deadline is one:
+// f runs once per Reset, and there is no timer channel to drain.
+func stoppedAfterFunc(f func()) *time.Timer {
+	t := time.AfterFunc(time.Hour, f)
+	t.Stop()
+	return t
 }
 
 // Name returns the session name.
@@ -1279,6 +1296,7 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
+	s.leaseTimer.Stop()
 	clients := make([]*clientConn, 0, len(s.clients))
 	for _, cc := range s.clients {
 		clients = append(clients, cc)
