@@ -208,3 +208,40 @@ func TestAdminHTTP(t *testing.T) {
 		t.Fatalf("missing venue status = %d", getResp.StatusCode)
 	}
 }
+
+// TestAdminBodyBound: an admin body of exactly maxBodyBytes is served; one
+// byte more is refused and leaves the venue server as it was.
+func TestAdminBodyBound(t *testing.T) {
+	vs := NewVenueServer()
+	srv := httptest.NewServer(AdminHandler(vs))
+	defer srv.Close()
+	post := func(path, head string, n int) int {
+		t.Helper()
+		// head, then a "pad" member filling the JSON object to n bytes.
+		pad := bytes.Repeat([]byte("x"), n-len(head)-len(`"pad":""}`))
+		body := append([]byte(head+`"pad":"`), append(pad, `"}`...)...)
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if got := post("/venues", `{"name":"big",`, maxBodyBytes+1); got != http.StatusBadRequest {
+		t.Fatalf("oversized create: status %d, want %d", got, http.StatusBadRequest)
+	}
+	if names := vs.Venues(); len(names) != 0 {
+		t.Fatalf("oversized create made venues %v", names)
+	}
+	if got := post("/venues", `{"name":"SC03",`, maxBodyBytes); got != http.StatusOK {
+		t.Fatalf("create at the bound: status %d", got)
+	}
+	if got := post("/venues/SC03/enter", `{"name":"brooke","site":"manchester",`, maxBodyBytes+1); got != http.StatusBadRequest {
+		t.Fatalf("oversized enter: status %d, want %d", got, http.StatusBadRequest)
+	}
+	v, _ := vs.Venue("SC03")
+	if ps := v.Participants(); len(ps) != 0 {
+		t.Fatalf("oversized enter admitted %d participant(s)", len(ps))
+	}
+}

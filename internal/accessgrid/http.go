@@ -7,6 +7,10 @@ import (
 	"strings"
 )
 
+// maxBodyBytes bounds every admin request body; a longer one is refused
+// before any of it reaches a venue.
+const maxBodyBytes = 64 << 10
+
 // AdminHandler exposes the venue server over HTTP for the venued daemon:
 //
 //	GET  /venues                   -> venue names
@@ -88,7 +92,7 @@ func AdminHandler(vs *VenueServer) http.Handler {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("accessgrid: unknown action %q", action))
 		}
 	})
-	return mux
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
 // venueView is the JSON projection of a venue.

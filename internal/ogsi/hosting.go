@@ -17,6 +17,7 @@ package ogsi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -38,9 +39,7 @@ type Factory func(args json.RawMessage) (Service, error)
 
 // instance tracks one hosted service.
 type instance struct {
-	gsh     string
-	svc     Service
-	created time.Time
+	svc Service
 
 	mu          sync.Mutex
 	termination time.Time // zero = immortal
@@ -81,15 +80,6 @@ func (h *Hosting) RegisterFactory(name string, f Factory) {
 	h.mu.Unlock()
 }
 
-// CreateLocal creates an instance directly (no HTTP), returning its GSH.
-func (h *Hosting) CreateLocal(factory string, args any) (string, error) {
-	raw, err := json.Marshal(args)
-	if err != nil {
-		return "", err
-	}
-	return h.create(factory, raw)
-}
-
 func (h *Hosting) create(factory string, args json.RawMessage) (string, error) {
 	h.mu.Lock()
 	f, ok := h.factories[factory]
@@ -104,7 +94,7 @@ func (h *Hosting) create(factory string, args json.RawMessage) (string, error) {
 	h.mu.Lock()
 	h.nextID++
 	gsh := fmt.Sprintf("/services/%s/%d", factory, h.nextID)
-	h.instances[gsh] = &instance{gsh: gsh, svc: svc, created: time.Now()}
+	h.instances[gsh] = &instance{svc: svc}
 	h.mu.Unlock()
 	return gsh, nil
 }
@@ -199,6 +189,10 @@ func (h *Hosting) Close() {
 	}
 }
 
+// maxBodyBytes bounds every request body; a longer one is refused before
+// any of it reaches a factory or a service.
+const maxBodyBytes = 1 << 20
+
 // opRequest is the JSON body of a service operation call.
 type opRequest struct {
 	Op   string          `json:"op"`
@@ -241,6 +235,7 @@ func fail(w http.ResponseWriter, status int, err error) {
 //	DELETE /services/<name>/<id>                  -> destroy
 //	POST /services/<name>/<id>/lifetime {seconds} -> set termination time
 func (h *Hosting) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	path := r.URL.Path
 	switch {
 	case strings.HasPrefix(path, "/factories/"):
@@ -249,8 +244,11 @@ func (h *Hosting) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		name := strings.TrimPrefix(path, "/factories/")
-		var args json.RawMessage
-		json.NewDecoder(r.Body).Decode(&args)
+		var args json.RawMessage // an empty body means no args
+		if err := json.NewDecoder(r.Body).Decode(&args); err != nil && err != io.EOF {
+			fail(w, http.StatusBadRequest, err)
+			return
+		}
 		gsh, err := h.create(name, args)
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)

@@ -1,7 +1,9 @@
 package ogsi
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -340,5 +342,81 @@ func TestFullFigure2Flow(t *testing.T) {
 	c.Call(found[0].GSH, "params", nil, &params)
 	if params[0].Value != core.FloatValue(3) {
 		t.Fatalf("steer through discovered service failed: %v", params)
+	}
+}
+
+// postBody posts raw bytes and returns the status code.
+func postBody(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestFactoryRejectsMalformedArgs: a factory body that is not JSON is
+// refused and creates nothing; an empty body still means "no args".
+func TestFactoryRejectsMalformedArgs(t *testing.T) {
+	h, url, _ := testHosting(t)
+	h.RegisterFactory("registry", RegistryFactory)
+	if got := postBody(t, url+"/factories/registry", []byte(`{"ttl":`)); got != http.StatusBadRequest {
+		t.Fatalf("malformed args: status %d, want %d", got, http.StatusBadRequest)
+	}
+	if n := len(h.Instances()); n != 0 {
+		t.Fatalf("malformed args created %d instance(s)", n)
+	}
+	if got := postBody(t, url+"/factories/registry", nil); got != http.StatusOK {
+		t.Fatalf("empty body: status %d, want %d", got, http.StatusOK)
+	}
+}
+
+// TestRequestBodyBound: a body of exactly maxBodyBytes is served on each
+// JSON endpoint; one byte more is refused and leaves the hosting
+// environment and the service as they were.
+func TestRequestBodyBound(t *testing.T) {
+	h, url, c := testHosting(t)
+	h.RegisterFactory("registry", RegistryFactory)
+	// padded is head, then a "pad" member filling the JSON object to n bytes.
+	padded := func(head string, n int) []byte {
+		pad := bytes.Repeat([]byte("x"), n-len(head)-len(`"pad":""}`))
+		return append([]byte(head+`"pad":"`), append(pad, `"}`...)...)
+	}
+
+	if got := postBody(t, url+"/factories/registry", padded("{", maxBodyBytes+1)); got != http.StatusBadRequest {
+		t.Fatalf("oversized create: status %d, want %d", got, http.StatusBadRequest)
+	}
+	if n := len(h.Instances()); n != 0 {
+		t.Fatalf("oversized create made %d instance(s)", n)
+	}
+	if got := postBody(t, url+"/factories/registry", padded("{", maxBodyBytes)); got != http.StatusOK {
+		t.Fatalf("create at the bound: status %d", got)
+	}
+	gsh := url + h.Instances()[0]
+
+	register := `{"op":"register","args":{"gsh":"x","type":"Steering"},`
+	if got := postBody(t, gsh, padded(register, maxBodyBytes+1)); got != http.StatusBadRequest {
+		t.Fatalf("oversized op: status %d, want %d", got, http.StatusBadRequest)
+	}
+	var entries int
+	if err := c.ServiceData(gsh, "entryCount", &entries); err != nil || entries != 0 {
+		t.Fatalf("after the oversized op: entryCount %d, %v", entries, err)
+	}
+	if got := postBody(t, gsh, padded(register, maxBodyBytes)); got != http.StatusOK {
+		t.Fatalf("op at the bound: status %d", got)
+	}
+
+	if got := postBody(t, gsh+"/lifetime", padded(`{"seconds":1,`, maxBodyBytes+1)); got != http.StatusBadRequest {
+		t.Fatalf("oversized lifetime: status %d, want %d", got, http.StatusBadRequest)
+	}
+	inst, err := h.lookup(h.Instances()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	if !inst.termination.IsZero() {
+		t.Fatalf("oversized lifetime set termination %v", inst.termination)
 	}
 }
