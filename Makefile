@@ -63,8 +63,9 @@ test:
 # pixel.Tile's Pix kept past the DecodeTiles callback that lent it, fails
 # deterministically instead of racing the pool's next user. internal/hub is
 # here because the daemons and steerbench drain every frame through it.
+# -race matches the CI step over the same packages.
 test-framedebug:
-	$(GO) test -tags framedebug ./internal/core ./internal/hub ./internal/journal \
+	$(GO) test -race -tags framedebug ./internal/core ./internal/hub ./internal/journal \
 		./internal/pixel ./internal/vnc ./internal/vizserver
 
 # loc prints non-test Go line counts for internal/core, internal/hub and the

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -35,9 +35,9 @@ type BuffersWriter interface {
 // single gathered write. Only the concrete netFD-backed types (whose
 // (*net.Buffers).WriteTo reaches writev) and explicit BuffersWriter
 // implementations qualify: for anything else — net.Pipe, netsim links,
-// opaque middleware wrappers — WriteTo would degrade to one Write syscall
-// per iovec entry, which is strictly worse than the buffered fallback, so
-// the probe must fail closed.
+// opaque middleware wrappers — WriteTo issues one Write per iovec entry, so
+// the probe fails closed and newCodec gathers such a conn's whole batch
+// into one entry.
 func probeVectored(conn net.Conn) bool {
 	switch conn.(type) {
 	case *net.TCPConn, *net.UnixConn:
@@ -47,35 +47,37 @@ func probeVectored(conn net.Conn) bool {
 	return ok
 }
 
-// egressStats counts the vectored egress layer's activity. The session owns
-// one instance shared by every admitted client's codec (injected at admit);
+// gatherAll is the coalesce threshold of a conn without writev: every frame
+// is gathered, so each batch is one iovec entry and one Write.
+const gatherAll = math.MaxInt
+
+// egressStats counts the egress layer's activity. The session owns one
+// instance shared by every admitted client's codec (injected at admit);
 // counters are atomics because batches are written per-client concurrently
 // and Stats readers never take a lock.
 type egressStats struct {
-	// batchesVectored/batchesBuffered count writeBatch calls by path taken.
+	// batchesVectored/batchesBuffered count batches on conns with and
+	// without writev.
 	batchesVectored atomic.Uint64
 	batchesBuffered atomic.Uint64
-	// framesCoalesced/bytesCoalesced count small frames (and their bytes)
-	// gathered into the shared iovec; bytesZeroCopy counts large-frame
-	// bytes handed to the kernel without a copy.
+	// framesCoalesced/bytesCoalesced count frames (and their bytes) copied
+	// into the gather scratch; bytesZeroCopy counts large-frame bytes handed
+	// to the kernel without a copy.
 	framesCoalesced atomic.Uint64
 	bytesCoalesced  atomic.Uint64
 	bytesZeroCopy   atomic.Uint64
-	// syscallsSaved estimates the Write calls the buffered fallback would
-	// have issued for the same batches beyond the single writev actually
-	// used (each large frame passes through bufio unbuffered, and gathered
-	// bytes flush per buffer fill).
+	// syscallsSaved counts, per batch, the Writes beyond the first that
+	// (*net.Buffers).WriteTo would issue for the same iovec without writev:
+	// len(iov)-1, always 0 on a conn without writev.
 	syscallsSaved atomic.Uint64
 }
 
 // codec wraps a conn with the envelope codec and a write lock; envelopes
-// may be written from multiple goroutines. Batches take the vectored
-// (writev) path when the conn supports it — see writeVectoredLocked — and
-// otherwise coalesce through the buffered writer; every write path flushes
-// before releasing the lock.
+// may be written from multiple goroutines. Every write is one syscall: a
+// batch is one writev (or, on a conn without writev, one gathered Write),
+// and a single envelope is one Write.
 type codec struct {
 	conn net.Conn
-	bw   *bufio.Writer
 	dec  *wire.Decoder
 	wmu  sync.Mutex
 	// budget bounds the payload bytes one inbound envelope may retain.
@@ -86,12 +88,11 @@ type codec struct {
 	// enc is the reusable scratch buffer for per-client envelope writes
 	// (handshake frames, acks); broadcasts arrive pre-encoded.
 	enc []byte
-	// vectored is the capability probe's verdict, fixed at construction:
-	// batches go to the kernel as one writev instead of through bw.
-	vectored bool
 	// coalesce is the hybrid threshold: frames shorter than it are copied
 	// into the gather scratch, frames at or above it become their own
-	// zero-copy iovec entries. <= 0 disables gathering entirely.
+	// zero-copy iovec entries. probeVectored fixes it at construction:
+	// defaultCoalesceBytes with writev, gatherAll without. <= 0 disables
+	// gathering entirely.
 	coalesce int
 	// iov is the reusable iovec scratch writeVectoredLocked builds each
 	// batch into; vec is the consumable slice header handed to the conn
@@ -109,13 +110,15 @@ type codec struct {
 }
 
 func newCodec(conn net.Conn) *codec {
+	coalesce := gatherAll
+	if probeVectored(conn) {
+		coalesce = defaultCoalesceBytes
+	}
 	return &codec{
 		conn:     conn,
-		bw:       bufio.NewWriter(conn),
 		dec:      wire.NewDecoder(conn),
 		budget:   clientEnvelopeBudget,
-		vectored: probeVectored(conn),
-		coalesce: defaultCoalesceBytes,
+		coalesce: coalesce,
 	}
 }
 
@@ -127,8 +130,8 @@ func (c *codec) harden() {
 	c.budget = serverEnvelopeBudget
 }
 
-// write encodes and sends one envelope, applying the write deadline if
-// non-zero.
+// write encodes and sends one envelope as one Write, applying the write
+// deadline if non-zero.
 func (c *codec) write(e *envelope, timeout time.Duration) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -141,15 +144,12 @@ func (c *codec) write(e *envelope, timeout time.Duration) error {
 		c.conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := c.bw.Write(buf); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	_, err = c.conn.Write(buf)
+	return err
 }
 
 // writeBatch sends several pre-encoded envelopes under one lock acquisition
-// and one deadline, flushing once at the end: the unit of work of a pooled
-// writer.
+// and one deadline: the unit of work of a pooled writer.
 func (c *codec) writeBatch(batch [][]byte, timeout time.Duration) error {
 	if len(batch) == 0 {
 		return nil
@@ -170,37 +170,22 @@ func (c *codec) writeBatchLocked(batch [][]byte, timeout time.Duration) error {
 		c.conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	if c.vectored {
-		return c.writeVectoredLocked(batch)
-	}
-	if c.egr != nil {
-		c.egr.batchesBuffered.Add(1)
-	}
-	for _, buf := range batch {
-		if _, err := c.bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return c.bw.Flush()
+	return c.writeVectoredLocked(batch)
 }
 
-// bufioFlushBytes is the buffered fallback's write granularity (bufio's
-// default buffer size); the syscallsSaved estimate is denominated in it.
-const bufioFlushBytes = 4096
-
-// writeVectoredLocked sends one batch of pre-encoded frames to the kernel
-// as a single writev. The hybrid policy: each contiguous run of frames
-// shorter than the coalesce threshold is memcpy'd into the reusable gather
-// scratch and rides as one shared iovec entry, while every frame at or
-// above the threshold becomes its own iovec entry aliasing the FrameBuf's
-// bytes directly — zero copies between encode and kernel. The gather
-// scratch is pre-sized before any iovec aliases it (an append-grow
-// mid-batch would strand earlier entries on the old backing array), and
-// both scratches are scrubbed after the write so a released frame's buffer
-// is never pinned (or aliased, under framedebug poisoning) between
-// batches. The caller owns the batch slices until this returns and must
-// not release them earlier; (*net.Buffers).WriteTo consumes c.vec, never
-// the caller's batch.
+// writeVectoredLocked sends one batch of pre-encoded frames as one write.
+// Each contiguous run of frames shorter than the coalesce threshold is
+// memcpy'd into the reusable gather scratch and rides as one shared iovec
+// entry; every frame at or above it becomes its own entry aliasing the
+// FrameBuf's bytes — zero copies between encode and kernel. With writev the
+// iovec is one syscall; without, the threshold is gatherAll, so the batch
+// is one entry and WriteTo issues one Write. The gather scratch is
+// pre-sized before any iovec aliases it (an append-grow mid-batch would
+// strand earlier entries on the old backing array), and the iovec scratch
+// is scrubbed after the write so a released frame's buffer is never pinned
+// (or aliased, under framedebug poisoning) between batches. The caller owns
+// the batch slices until this returns and must not release them earlier;
+// (*net.Buffers).WriteTo consumes c.vec, never the caller's batch.
 //
 //steer:hotpath
 func (c *codec) writeVectoredLocked(batch [][]byte) error {
@@ -217,7 +202,7 @@ func (c *codec) writeVectoredLocked(batch [][]byte) error {
 	}
 	gather := c.gather[:0]
 	iov := c.iov[:0]
-	var coalesced, large, zeroCopy uint64
+	var coalesced, zeroCopy uint64
 	runStart := -1 // gather offset where the current small-frame run began
 	for _, buf := range batch {
 		if len(buf) < c.coalesce {
@@ -233,7 +218,6 @@ func (c *codec) writeVectoredLocked(batch [][]byte) error {
 			runStart = -1
 		}
 		iov = append(iov, buf)
-		large++
 		zeroCopy += uint64(len(buf))
 	}
 	if runStart >= 0 {
@@ -259,20 +243,15 @@ func (c *codec) writeVectoredLocked(batch [][]byte) error {
 	}
 	c.vec = nil
 	if c.egr != nil {
-		c.egr.batchesVectored.Add(1)
+		if c.coalesce == gatherAll {
+			c.egr.batchesBuffered.Add(1)
+		} else {
+			c.egr.batchesVectored.Add(1)
+		}
 		c.egr.framesCoalesced.Add(coalesced)
 		c.egr.bytesCoalesced.Add(uint64(len(gather)))
 		c.egr.bytesZeroCopy.Add(zeroCopy)
-		// The buffered fallback would have issued ~one Write per large
-		// frame (bufio passes oversized writes straight through) plus one
-		// per bufioFlushBytes of gathered small traffic; we issued one
-		// writev. An estimate, but a conservative one: it ignores the
-		// flushes mixed batches force at small/large boundaries.
-		saved := large + (uint64(len(gather))+bufioFlushBytes-1)/bufioFlushBytes
-		if saved > 0 {
-			saved--
-		}
-		c.egr.syscallsSaved.Add(saved)
+		c.egr.syscallsSaved.Add(uint64(len(iov) - 1))
 	}
 	return err
 }

@@ -1,9 +1,10 @@
-// BenchmarkEgressWritev measures the vectored egress path against the
-// buffered fallback over a real loopback TCP connection with a draining
-// peer. A real socket matters: bufio already passes large writes through
-// uncopied, so the buffered fallback's cost on bulk payloads is almost
-// entirely its one-syscall-per-frame shape — exactly what writev collapses
-// — and a discard conn would hide it.
+// BenchmarkEgressWritev measures the two shapes of the one egress path over
+// a real loopback TCP connection with a draining peer: "vectored" is the
+// writev batch, and "buffered" wraps the same socket so it probes as a
+// conn without writev, where the whole batch is gathered (copied) into one
+// Write. A real socket matters: the trade is writev's zero-copy iovec
+// against one memcpy of the batch, and a discard conn would hide the
+// syscall cost on both sides. The leg names match BENCH_9.json's keys.
 package core
 
 import (
@@ -99,11 +100,13 @@ func BenchmarkEgressWritev(b *testing.B) {
 	for _, shape := range egressShapes() {
 		for _, path := range []string{"vectored", "buffered"} {
 			b.Run(fmt.Sprintf("%s/%s", shape.name, path), func(b *testing.B) {
-				c := newCodec(benchTCPPair(b))
+				var conn net.Conn = benchTCPPair(b)
 				if path == "buffered" {
-					c.vectored = false // force the pre-writev fallback on the same socket
-				} else if !c.vectored {
-					b.Fatal("loopback TCP conn did not probe vectored")
+					conn = opaqueConn{conn} // hide writev on the same socket
+				}
+				c := newCodec(conn)
+				if (c.coalesce == gatherAll) != (path == "buffered") {
+					b.Fatalf("%s leg probed coalesce=%d", path, c.coalesce)
 				}
 				b.SetBytes(shape.bytes)
 				b.ReportAllocs()

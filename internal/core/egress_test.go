@@ -1,5 +1,5 @@
-// Vectored egress tests (PR 9): the capability probe, the hybrid
-// coalesce/zero-copy split, failure handling on short writes and expired
+// Egress tests: the capability probe, the hybrid coalesce/zero-copy split
+// and the one write per batch, failure handling on short writes and expired
 // deadlines, the drainBatch scratch scrub, and the cross-conn delivery
 // matrix. Run with and without -tags framedebug — the failure tests lean on
 // poison-on-release to catch any iovec aliasing a released frame.
@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // vecDiscardConn is a discardConn that advertises the vectored-write
@@ -30,9 +32,10 @@ func (vecDiscardConn) WriteBuffers(v *net.Buffers) (int64, error) {
 	return n, nil
 }
 
-// captureConn records each vectored batch: the iovec count as handed over
-// and the concatenated bytes, so tests can assert both the hybrid split and
-// byte-exact output.
+// captureConn records each write — a vectored batch or a plain Write — as
+// the entry lengths handed over and the concatenated bytes, so tests can
+// assert the hybrid split, the write count and byte-exact output. Wrapped
+// in opaqueConn it is a conn without writev.
 type captureConn struct {
 	discardConn
 	mu      sync.Mutex
@@ -53,6 +56,14 @@ func (c *captureConn) WriteBuffers(v *net.Buffers) (int64, error) {
 	c.batches = append(c.batches, lens)
 	*v = (*v)[:0]
 	return n, nil
+}
+
+func (c *captureConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.batches = append(c.batches, []int{len(p)})
+	c.data.Write(p)
+	return len(p), nil
 }
 
 // shortWriteConn accepts limit bytes across vectored writes, then fails:
@@ -171,87 +182,106 @@ func TestProbeVectored(t *testing.T) {
 		if got := probeVectored(tc.conn); got != tc.want {
 			t.Errorf("probeVectored(%s) = %v, want %v", tc.name, got, tc.want)
 		}
-		if got := newCodec(tc.conn).vectored; got != tc.want {
-			t.Errorf("newCodec(%s).vectored = %v, want %v", tc.name, got, tc.want)
+		want := gatherAll
+		if tc.want {
+			want = defaultCoalesceBytes
+		}
+		if got := newCodec(tc.conn).coalesce; got != want {
+			t.Errorf("newCodec(%s).coalesce = %d, want %d", tc.name, got, want)
 		}
 	}
 }
 
-// TestWriteBatchVectoredBytes pins the hybrid policy: byte-exact output in
-// batch order, small-frame runs coalesced into shared iovec entries, large
-// frames as their own entries, and the egress counters accounting for it.
+// TestWriteBatchVectoredBytes pins the egress shapes: every batch is one write
+// carrying the batch's bytes in order — one writev whose iovec coalesces
+// small-frame runs and gives large frames their own entries, or on a conn
+// without writev one Write of the whole gathered batch — the egress
+// counters account for it, and a single envelope is one Write.
 func TestWriteBatchVectoredBytes(t *testing.T) {
-	conn := &captureConn{}
-	c := newCodec(conn)
-	if !c.vectored {
-		t.Fatal("captureConn should probe vectored")
-	}
-	c.coalesce = 16
-	var egr egressStats
-	c.egr = &egr
-
 	frame := func(n int, fill byte) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = fill
-		}
-		return b
+		return bytes.Repeat([]byte{fill}, n)
 	}
-	// small, small, LARGE, small, LARGE, LARGE, small → iovecs:
-	// [8](small+small) [32] [4] [64] [32] [8]
-	batch := [][]byte{
+	// small, small, LARGE, small, LARGE, LARGE, small
+	hybrid := [][]byte{
 		frame(4, 'a'), frame(4, 'b'), frame(32, 'C'),
 		frame(4, 'd'), frame(64, 'E'), frame(32, 'F'), frame(8, 'g'),
 	}
-	var want bytes.Buffer
-	for _, b := range batch {
-		want.Write(b)
+	mixed := [][]byte{
+		frame(100, 'a'), frame(8<<10, 'B'), frame(100, 'c'), frame(300<<10, 'D'), frame(50, 'e'),
 	}
-	if err := c.writeBatch(batch, time.Second); err != nil {
-		t.Fatal(err)
+	const mixedBytes = 100 + 8<<10 + 100 + 300<<10 + 50
+	type counts struct{ vectored, buffered, frames, coalesced, zeroCopy, saved uint64 }
+	cases := []struct {
+		name     string
+		vectored bool
+		coalesce int // 0 keeps newCodec's threshold
+		batch    [][]byte
+		wantLens []int // entry lengths of the one write
+		want     counts
+	}{
+		{"writev-hybrid", true, 16, hybrid, []int{8, 32, 4, 64, 32, 8}, counts{1, 0, 4, 20, 128, 5}},
+		{"writev-no-coalesce", true, -1, hybrid, []int{4, 4, 32, 4, 64, 32, 8}, counts{1, 0, 0, 0, 148, 6}},
+		{"no-writev", false, 0, mixed, []int{mixedBytes}, counts{0, 1, 5, mixedBytes, 0, 0}},
 	}
-	if !bytes.Equal(conn.data.Bytes(), want.Bytes()) {
-		t.Fatalf("vectored output differs from batch concatenation:\n got %q\nwant %q",
-			conn.data.Bytes(), want.Bytes())
-	}
-	if len(conn.batches) != 1 {
-		t.Fatalf("want 1 vectored batch, got %d", len(conn.batches))
-	}
-	wantLens := []int{8, 32, 4, 64, 32, 8}
-	if fmt.Sprint(conn.batches[0]) != fmt.Sprint(wantLens) {
-		t.Fatalf("iovec layout = %v, want %v (coalesced runs + zero-copy entries)", conn.batches[0], wantLens)
-	}
-	if got := egr.batchesVectored.Load(); got != 1 {
-		t.Errorf("batchesVectored = %d, want 1", got)
-	}
-	if got := egr.framesCoalesced.Load(); got != 4 {
-		t.Errorf("framesCoalesced = %d, want 4", got)
-	}
-	if got := egr.bytesCoalesced.Load(); got != 20 {
-		t.Errorf("bytesCoalesced = %d, want 20", got)
-	}
-	if got := egr.bytesZeroCopy.Load(); got != 128 {
-		t.Errorf("bytesZeroCopy = %d, want 128", got)
-	}
-	// Scratches must not pin batch or gather memory between writes.
-	for i, b := range c.iov {
-		if b != nil {
-			t.Errorf("iov[%d] not scrubbed after write", i)
-		}
-	}
-	if c.vec != nil {
-		t.Error("vec header not cleared after write")
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			capture := &captureConn{}
+			var conn net.Conn = capture
+			if !tc.vectored {
+				conn = opaqueConn{capture}
+			}
+			c := newCodec(conn)
+			if tc.coalesce != 0 {
+				c.coalesce = tc.coalesce
+			}
+			var egr egressStats
+			c.egr = &egr
+			var want bytes.Buffer
+			for _, b := range tc.batch {
+				want.Write(b)
+			}
+			if err := c.writeBatch(tc.batch, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(capture.data.Bytes(), want.Bytes()) {
+				t.Fatalf("output differs from batch concatenation: got %d bytes, want %d", capture.data.Len(), want.Len())
+			}
+			if len(capture.batches) != 1 {
+				t.Fatalf("batch took %d writes, want 1", len(capture.batches))
+			}
+			if fmt.Sprint(capture.batches[0]) != fmt.Sprint(tc.wantLens) {
+				t.Fatalf("write layout = %v, want %v", capture.batches[0], tc.wantLens)
+			}
+			got := counts{egr.batchesVectored.Load(), egr.batchesBuffered.Load(), egr.framesCoalesced.Load(),
+				egr.bytesCoalesced.Load(), egr.bytesZeroCopy.Load(), egr.syscallsSaved.Load()}
+			if got != tc.want {
+				t.Errorf("egress counters = %+v, want %+v", got, tc.want)
+			}
+			// Scratches must not pin batch or gather memory between writes.
+			for i, b := range c.iov {
+				if b != nil {
+					t.Errorf("iov[%d] not scrubbed after write", i)
+				}
+			}
+			if c.vec != nil {
+				t.Error("vec header not cleared after write")
+			}
 
-	// Coalescing disabled: every frame its own iovec entry.
-	conn2 := &captureConn{}
-	c2 := newCodec(conn2)
-	c2.coalesce = -1
-	if err := c2.writeBatch(batch, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(conn2.batches[0]); got != len(batch) {
-		t.Fatalf("coalesce<0: %d iovec entries, want %d (one per frame)", got, len(batch))
+			env := &envelope{Type: msgAck, Seq: 7, Ack: &ackMsg{OK: true}}
+			enc, err := encodeEnvelope(nil, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.write(env, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if len(capture.batches) != 2 || fmt.Sprint(capture.batches[1]) != fmt.Sprint([]int{len(enc)}) {
+				t.Fatalf("codec.write took writes %v after the batch, want one of %d bytes", capture.batches[1:], len(enc))
+			}
+			if !bytes.Equal(capture.data.Bytes()[want.Len():], enc) {
+				t.Fatal("codec.write output differs from the encoded envelope")
+			}
+		})
 	}
 }
 
@@ -366,12 +396,30 @@ func TestDrainBatchScratchScrubbed(t *testing.T) {
 
 // TestEgressCrossConnMatrix runs the identical broadcast storm over
 // loopback TCP, net.Pipe and a capability-hiding wrapper around TCP, and
-// asserts (a) the capability probe routes each conn to the right path —
-// writev for TCP, buffered fallback for the other two — and (b) the
+// asserts (a) the capability probe routes each conn to the right shape —
+// writev for TCP, one gathered Write for the other two — and (b) the
 // delivered byte stream is identical across all three, so the hybrid
 // coalesce/zero-copy split can never reorder or corrupt frames.
 func TestEgressCrossConnMatrix(t *testing.T) {
 	const samples = 16
+
+	// received counts the welcomes and samples complete in a stream prefix.
+	received := func(stream []byte) (welcomes, sampleFrames int) {
+		dec := wire.NewDecoder(bytes.NewReader(stream))
+		var sc envScratch
+		for {
+			e, err := decodeEnvelope(dec, clientEnvelopeBudget, &sc)
+			if err != nil {
+				return welcomes, sampleFrames
+			}
+			switch e.Type {
+			case msgWelcome:
+				welcomes++
+			case msgSample:
+				sampleFrames++
+			}
+		}
+	}
 
 	run := func(t *testing.T, serverConn, clientConn net.Conn, wantVectored bool) []byte {
 		s := NewSession(SessionConfig{Name: "matrix", SampleQueue: 64})
@@ -415,29 +463,28 @@ func TestEgressCrossConnMatrix(t *testing.T) {
 				st.Emit(small) // tiny: gathered into the shared iovec
 			}
 		}
-		waitFor(t, "samples delivered", func() bool {
-			return s.Stats().SamplesDelivered >= samples
-		})
-		// Quiesce: the session's pool writers have flushed once the
-		// client-side stream stops growing with all frames delivered.
-		last := -1
-		waitFor(t, "stream quiescent", func() bool {
+		// The stream is complete once the client holds the welcome and
+		// every sample; only then may Close cut it.
+		waitFor(t, "welcome and every sample received", func() bool {
 			mu.Lock()
-			n := got.Len()
+			stream := append([]byte(nil), got.Bytes()...)
 			mu.Unlock()
-			if n != last {
-				last = n
-				return false
-			}
-			return n > 0
+			w, n := received(stream)
+			return w == 1 && n == samples
+		})
+		// A batch is counted after its write returns, so wait for one.
+		waitFor(t, "a batch counted", func() bool {
+			st := s.Stats()
+			return st.EgressBatchesVectored+st.EgressBatchesBuffered > 0
 		})
 		stats := s.Stats()
-		if wantVectored && (stats.EgressBatchesVectored == 0 || stats.EgressBatchesBuffered != 0) {
-			t.Errorf("vectored conn took the wrong path: vectored=%d buffered=%d",
+		if wantVectored && stats.EgressBatchesBuffered != 0 {
+			t.Errorf("vectored conn took the gather path: vectored=%d buffered=%d",
 				stats.EgressBatchesVectored, stats.EgressBatchesBuffered)
 		}
 		if !wantVectored && stats.EgressBatchesVectored != 0 {
-			t.Errorf("non-vectored conn hit the writev path: vectored=%d", stats.EgressBatchesVectored)
+			t.Errorf("non-vectored conn hit the writev path: vectored=%d buffered=%d",
+				stats.EgressBatchesVectored, stats.EgressBatchesBuffered)
 		}
 		s.Close()
 		select {

@@ -203,11 +203,11 @@ type Stats struct {
 	// SamplesDelivered/SamplesDropped.
 	BlobsEmitted uint64
 	BlobBytes    uint64
-	// Vectored-egress activity: batches by path taken, small frames (and
-	// bytes) gathered into the shared coalesce iovec, large-frame bytes
-	// handed to the kernel without a copy, and the estimated Write
-	// syscalls the buffered fallback would have needed beyond the writev
-	// each vectored batch actually issued.
+	// Egress activity: batches written by writev and by one gathered
+	// Write (conns without writev), frames (and bytes) copied into the
+	// gather scratch, large-frame bytes handed to the kernel without a
+	// copy, and the Writes beyond one that each writev batch's iovec would
+	// have cost without writev.
 	EgressBatchesVectored uint64
 	EgressBatchesBuffered uint64
 	EgressFramesCoalesced uint64
@@ -1172,9 +1172,9 @@ func (s *Session) broadcastSample(sample *Sample) {
 // steering tier inline, observer tier via the relay workers. The payload is
 // copied exactly once — into the pooled, size-classed broadcast buffer —
 // and from there every delivery is a refcounted ring push; on TCP conns the
-// writev egress hands the buffer to the kernel zero-copy (a blob payload is
-// always far above the coalesce threshold). Blobs skip the journal tap (see
-// JournalBlob).
+// writev egress hands the buffer to the kernel zero-copy (a blob is always
+// above the coalesce threshold), a conn without writev copies it into its
+// gather scratch. Blobs skip the journal tap (see JournalBlob).
 //
 //steer:hotpath
 func (s *Session) broadcastBlob(b *Blob) {

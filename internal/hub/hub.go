@@ -116,11 +116,11 @@ type Stats struct {
 	RelayCoalesced uint64
 	RelayPushed    uint64
 
-	// Vectored-egress aggregates across every hosted session: batches by
-	// path taken (writev vs the buffered fallback), small frames and bytes
-	// gathered into the shared coalesce iovec, large-frame bytes handed to
-	// the kernel zero-copy, and the estimated syscalls saved vs the
-	// buffered path.
+	// Egress aggregates across every hosted session: batches written by
+	// writev and by one gathered Write (conns without writev), frames and
+	// bytes copied into the gather scratch, large-frame bytes handed to the
+	// kernel zero-copy, and the Writes beyond one that each writev batch's
+	// iovec would have cost without writev.
 	EgressBatchesVectored uint64
 	EgressBatchesBuffered uint64
 	EgressFramesCoalesced uint64

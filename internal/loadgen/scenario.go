@@ -50,7 +50,7 @@ type Scenario struct {
 	// ~PayloadBytes to every emitted sample (in-process mode): the
 	// large-frame workload that exercises the hub's zero-copy writev
 	// egress, where each frame rides as its own iovec entry instead of
-	// being memcpy'd through the buffered writer.
+	// being copied into the gather scratch.
 	PayloadBytes int `json:"payload_bytes,omitempty"`
 
 	// Churn cycles two client slots per session through

@@ -31,6 +31,11 @@ type ServerStats struct {
 	InputEvents uint64
 }
 
+// inputElems is the element count of the one frame a viewer sends, a
+// tagInput [kind, a, b, c]; the viewer decoder refuses anything larger
+// before reading it.
+const inputElems = 4
+
 // viewer is one attached client connection.
 type viewer struct {
 	conn net.Conn
@@ -104,6 +109,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 
 	// Read loop: input events.
 	dec := wire.NewDecoder(conn)
+	dec.SetLimits(wire.Limits{MaxElements: inputElems, MaxBlobLen: 4 * inputElems, MaxPayload: 4 * inputElems})
 	for {
 		m, err := dec.Next()
 		if err != nil {
@@ -114,7 +120,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			continue
 		}
 		ints, err := m.AsInt64s()
-		if err != nil || len(ints) != 4 {
+		if err != nil || len(ints) != inputElems {
 			continue
 		}
 		s.mu.Lock()

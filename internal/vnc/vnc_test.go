@@ -2,6 +2,8 @@ package vnc
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"testing/quick"
@@ -177,6 +179,34 @@ func TestInputEventsReachApplication(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatal("input event lost")
 		}
+	}
+}
+
+// TestOversizedInputDisconnects: a viewer only ever sends four-element
+// tagInput frames, so one claiming 1<<20 elements is refused at its header
+// with wire.ErrTooLarge, unread, and never counted as input.
+func TestOversizedInputDisconnects(t *testing.T) {
+	srv := NewServer(32, 32)
+	server, viewer := net.Pipe()
+	defer viewer.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeConn(server) }()
+	go io.Copy(io.Discard, viewer)
+	before := srv.Stats().InputEvents
+	go wire.NewEncoder(viewer).Int32s(tagInput, make([]int32, 1<<20))
+	select {
+	case err := <-served:
+		if !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("ServeConn = %v, want wire.ErrTooLarge", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("viewer sending an oversized input frame still served")
+	}
+	if got := srv.Stats().InputEvents; got != before {
+		t.Fatalf("InputEvents = %d, want %d", got, before)
+	}
+	if n := srv.ViewerCount(); n != 0 {
+		t.Fatalf("ViewerCount = %d after the oversized frame, want 0", n)
 	}
 }
 
