@@ -248,6 +248,32 @@ func TestPauseResumeStop(t *testing.T) {
 	waitFor(t, "stop", func() bool { return st.Poll() == ControlStop })
 }
 
+// TestEnqueueOpNeverBlocks: concurrent enqueuers on a full pending queue
+// that nobody polls all return; a loser of the race for a freed slot evicts
+// again instead of waiting for the simulation.
+func TestEnqueueOpNeverBlocks(t *testing.T) {
+	s := NewSession(SessionConfig{Name: "enqueue"})
+	defer s.Close()
+	const goroutines, ops = 16, 20000
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				s.enqueueOp(pendingOp{cmd: cmdPause})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an enqueuer blocked on the full pending queue")
+	}
+}
+
 func TestCheckpointRequest(t *testing.T) {
 	s, dial := testSession(t, SessionConfig{})
 	st := s.Steered()

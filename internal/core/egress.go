@@ -149,23 +149,16 @@ func (c *codec) write(e *envelope, timeout time.Duration) error {
 }
 
 // writeBatch sends several pre-encoded envelopes under one lock acquisition
-// and one deadline: the unit of work of a pooled writer.
+// and one deadline: the unit of work of a pool drain and of a catch-up
+// replay chunk.
+//
+//steer:hotpath
 func (c *codec) writeBatch(batch [][]byte, timeout time.Duration) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	c.wmu.Lock() //steer:allow hotpathalloc per-connection write mutex serialises this client's batches; never session-wide
 	defer c.wmu.Unlock()
-	return c.writeBatchLocked(batch, timeout)
-}
-
-// writeBatchLocked is writeBatch for a caller already holding the write
-// lock (lockWrites): the attach go-live handoff claims the lock before
-// opening the writer gate so the backlog precedes any live drain, then
-// writes it without holding session-wide locks.
-//
-//steer:hotpath
-func (c *codec) writeBatchLocked(batch [][]byte, timeout time.Duration) error {
 	if timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer c.conn.SetWriteDeadline(time.Time{})
@@ -255,11 +248,6 @@ func (c *codec) writeVectoredLocked(batch [][]byte) error {
 	}
 	return err
 }
-
-// lockWrites claims the write lock until unlockWrites; writers and acks
-// queue behind it.
-func (c *codec) lockWrites()   { c.wmu.Lock() }
-func (c *codec) unlockWrites() { c.wmu.Unlock() }
 
 // read receives the next envelope.
 func (c *codec) read() (*envelope, error) { return decodeEnvelope(c.dec, c.budget, &c.scratch) }

@@ -8,8 +8,9 @@ package core
 // atomic load — no lock, no allocation, no mutation in place.
 type clientDesc struct {
 	// tier never changes over the descriptor's client lifetime — tier is an
-	// attach-time property, so the session's tier views (steerView/obsView)
-	// stay valid across interest swaps without a rebuild.
+	// attach-time property, so the session's tier-partitioned client
+	// snapshot (clientSnap) stays valid across interest swaps without a
+	// rebuild.
 	tier Tier
 	// allChans/allParams mark the subscribe-all state per kind; the maps
 	// are consulted only when the corresponding flag is false.

@@ -85,8 +85,13 @@ func TestSubscriptionFiltering(t *testing.T) {
 	all := dialOpts(t, addr, AttachOptions{Name: "all-viewer"})
 
 	st.Emit(chanSample(1, "phi", "seg"))
+	// drainCount consumes, so keep each client's tally across polls: a poll
+	// that drains phi's sample before all's has arrived must not lose it.
+	var phiSeen, allSeen int
 	waitFor(t, "subscribed clients see step 1", func() bool {
-		return drainCount(phi, "phi") > 0 && drainCount(all, "phi") > 0
+		phiSeen += drainCount(phi, "phi")
+		allSeen += drainCount(all, "phi")
+		return phiSeen > 0 && allSeen > 0
 	})
 	if got := drainCount(ghost, "phi"); got != 0 {
 		t.Fatalf("ghost-subscribed client received %d phi samples, want 0", got)

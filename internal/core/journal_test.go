@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -149,6 +151,90 @@ func TestLateJoinerExactlyOnceUnderBroadcastRace(t *testing.T) {
 				t.Fatalf("client %d event %d = %q, want %q (duplicate or loss)", i, k, ev, want)
 			}
 		}
+	}
+}
+
+// gateConn is a server-side conn whose catch-up write — the second Write,
+// after the welcome — blocks until release is closed, announcing itself on
+// stalled. Anything but *net.TCPConn fails the writev probe, so every batch
+// reaches it as one Write.
+type gateConn struct {
+	net.Conn
+	writes  atomic.Int32
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (c *gateConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1) == 2 {
+		close(c.stalled)
+		<-c.release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestJournaledLateJoinerLargeBacklog: a late joiner whose catch-up write
+// stalls while the session broadcasts far more control frames than one
+// drain batch still receives every event exactly once and in order across
+// the replay and the live tail, and the session drops no client.
+func TestJournaledLateJoinerLargeBacklog(t *testing.T) {
+	const replayed, backlog = 10, 200
+	s := NewSession(SessionConfig{Name: "backlog", Journal: &memSink{}})
+	t.Cleanup(s.Close)
+	st := s.Steered()
+	for i := 0; i < replayed; i++ {
+		st.Event(fmt.Sprintf("ev-%03d", i))
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sc := &gateConn{stalled: make(chan struct{}), release: make(chan struct{})}
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		sc.Conn = conn
+		s.ServeConn(sc)
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := Attach(conn, AttachOptions{Name: "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { late.Close() })
+
+	select {
+	case <-sc.stalled:
+	case <-time.After(3 * time.Second):
+		t.Fatal("catch-up write never started")
+	}
+	for i := replayed; i < replayed+backlog; i++ {
+		st.Event(fmt.Sprintf("ev-%03d", i))
+	}
+	close(sc.release)
+
+	const total = replayed + backlog
+	waitFor(t, "the replay and the backlog", func() bool { return len(late.Events()) >= total })
+	st.Event("live")
+	waitFor(t, "the live tail", func() bool { return len(late.Events()) > total })
+	evs := late.Events()
+	if len(evs) != total+1 || evs[total] != "live" {
+		t.Fatalf("got %d events ending %q, want %d ending \"live\"", len(evs), evs[len(evs)-1], total+1)
+	}
+	for i, ev := range evs[:total] {
+		if want := fmt.Sprintf("ev-%03d", i); ev != want {
+			t.Fatalf("event %d = %q, want %q (duplicate, loss or reorder)", i, ev, want)
+		}
+	}
+	if n := s.ClientCount(); n != 1 {
+		t.Fatalf("session holds %d clients, want the late joiner", n)
 	}
 }
 

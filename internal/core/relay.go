@@ -10,7 +10,7 @@ import (
 // small pool of relay workers instead of walking every observer itself —
 // internal/netsim/mcast.go's replicate-at-the-fabric idea promoted into the
 // real delivery path. Each worker owns a stride of the observer RCU
-// snapshot (obsView[i] where i % workers == idx), so one steer frame costs
+// snapshot (observers()[i] where i % workers == idx), so one steer frame costs
 // the session O(workers) ring pushes and the per-observer work — interest
 // match, queue push, writer wakeup — runs off the hot goroutine at
 // O(observers / workers) per worker.
@@ -237,7 +237,7 @@ func (w *relayWorker) deliver(frames []*FrameBuf) (push bool) {
 	for _, fb := range frames {
 		push = push || fb.push
 	}
-	obs := *w.s.obsView.Load()
+	obs := w.s.snap.Load().observers()
 	var delivered, dropped, filtered uint64
 	for i := w.idx; i < len(obs); i += w.n {
 		cc := obs[i]
@@ -272,7 +272,7 @@ func (w *relayWorker) deliver(frames []*FrameBuf) (push bool) {
 // a snapshot walk or two — is paid per interval, per steer or per control
 // bound, not per frame.
 func (w *relayWorker) notify(samples, ctrl bool) (sampled bool) {
-	obs := *w.s.obsView.Load()
+	obs := w.s.snap.Load().observers()
 	if samples {
 		for i := w.idx; i < len(obs); i += w.n {
 			if cc := obs[i]; cc.out.length() > 0 {

@@ -355,7 +355,7 @@ func TestSteerPushSkipsParamOnlyObservers(t *testing.T) {
 func TestObserverNotifySampleHoldersFirst(t *testing.T) {
 	rec := newRecordingWriter()
 	s, _, watch := watchAndParamOnly(t, rec)
-	params := (*s.obsView.Load())[0]
+	params := s.snap.Load().observers()[0]
 	var order []string // appended on this goroutine, the one calling notify
 	rec.ready = func(h *ClientHandle) { order = append(order, h.Name()) }
 	for _, q := range []*frameRing{params.ctrl, watch.ctrl, watch.out} {

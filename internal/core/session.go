@@ -106,19 +106,11 @@ type Session struct {
 	viewSeq uint64
 	nextID  int
 
-	// clientsView is the broadcast path's read-copy-update snapshot of the
-	// attached clients: an immutable slice swapped atomically by
-	// attach/detach (which still serialise on s.mu). Broadcasts only load
+	// snap is the broadcast path's read-copy-update client snapshot, swapped
+	// by attach/detach (which still serialise on s.mu). Broadcasts only load
 	// it, so the fan-out never touches s.mu — the registration lock is paid
 	// at membership-change rate, not message rate.
-	clientsView atomic.Pointer[[]*clientConn]
-
-	// steerView/obsView partition the same snapshot by delivery tier:
-	// sample fan-out walks steerView inline and hands the frame to the
-	// relay workers only when obsView is non-empty. Tier is fixed at
-	// attach, so the partition changes exactly when clientsView does.
-	steerView atomic.Pointer[[]*clientConn]
-	obsView   atomic.Pointer[[]*clientConn]
+	snap atomic.Pointer[clientSnap]
 
 	// relay is the observer-tier worker pool, started lazily by the first
 	// observer admit (ensureRelayLocked) and loaded lock-free by fanout.
@@ -222,6 +214,18 @@ type pendingOp struct {
 	cmd  commandKind
 }
 
+// clientSnap is an immutable client list partitioned by delivery tier:
+// steering clients first, then observers, each in attach order. Sample
+// fan-out walks steering() inline and leaves observers() to the relay;
+// control fan-out walks all.
+type clientSnap struct {
+	all    []*clientConn
+	nsteer int
+}
+
+func (v *clientSnap) steering() []*clientConn  { return v.all[:v.nsteer] }
+func (v *clientSnap) observers() []*clientConn { return v.all[v.nsteer:] }
+
 // clientConn is the session's view of one attached client.
 type clientConn struct {
 	name  string
@@ -320,9 +324,7 @@ func NewSession(cfg SessionConfig) *Session {
 		s.ownPool = NewWriterPool()
 		s.cfg.Writer = s.ownPool
 	}
-	s.clientsView.Store(&[]*clientConn{})
-	s.steerView.Store(&[]*clientConn{})
-	s.obsView.Store(&[]*clientConn{})
+	s.snap.Store(&clientSnap{})
 	s.leaseTimer = stoppedAfterFunc(s.leaseTick)
 	if cfg.MasterLease > 0 {
 		s.leaseTick() // sweeps a session with no master yet, and arms the timer
@@ -392,9 +394,10 @@ func (s *Session) Stats() Stats {
 }
 
 // TierCounts returns the current number of steering- and observer-tier
-// clients (a point-in-time read of the tier snapshots).
+// clients (a point-in-time read of the client snapshot).
 func (s *Session) TierCounts() (steering, observers int) {
-	return len(*s.steerView.Load()), len(*s.obsView.Load())
+	v := s.snap.Load()
+	return len(v.steering()), len(v.observers())
 }
 
 // ClientCount returns the number of attached clients.
@@ -438,7 +441,7 @@ func (s *Session) Serve(l net.Listener) error {
 
 // catchupBatchBytes bounds one catch-up replay batch: with the default 2s
 // ControlTimeout per batch, a client sustaining ~128 KiB/s keeps up with
-// any history size.
+// any history size. Live frames queued meanwhile drain through the pool.
 const catchupBatchBytes = 256 << 10
 
 // writeFrames writes pre-encoded frames to the client in batches bounded
@@ -446,37 +449,13 @@ const catchupBatchBytes = 256 << 10
 // catchupBatchBytes — a client slower than that floor (not one with merely
 // a bulky history) is the one that fails.
 func (s *Session) writeFrames(cc *clientConn, frames [][]byte) error {
-	return s.chunkFrames(frames, func(batch [][]byte) error {
-		return cc.codec.writeBatch(batch, s.cfg.ControlTimeout)
-	})
-}
-
-// writeFrameBufs writes a backlog of refcounted frames in bounded batches
-// and releases every reference, success or not.
-func (s *Session) writeFrameBufs(cc *clientConn, frames []*FrameBuf, locked bool) error {
-	bufs := make([][]byte, len(frames))
-	for i, fb := range frames {
-		bufs[i] = fb.Bytes()
-	}
-	err := s.chunkFrames(bufs, func(batch [][]byte) error {
-		if locked {
-			return cc.codec.writeBatchLocked(batch, s.cfg.ControlTimeout)
-		}
-		return cc.codec.writeBatch(batch, s.cfg.ControlTimeout)
-	})
-	releaseFrames(frames)
-	return err
-}
-
-// chunkFrames feeds frames to write in byte- and count-bounded batches.
-func (s *Session) chunkFrames(frames [][]byte, write func([][]byte) error) error {
 	for len(frames) > 0 {
 		n, bytes := 0, 0
 		for n < len(frames) && n < 64 && (n == 0 || bytes+len(frames[n]) <= catchupBatchBytes) {
 			bytes += len(frames[n])
 			n++
 		}
-		if err := write(frames[:n]); err != nil {
+		if err := cc.codec.writeBatch(frames[:n], s.cfg.ControlTimeout); err != nil {
 			return err
 		}
 		frames = frames[n:]
@@ -596,44 +575,12 @@ func (s *Session) ServePending(p *PendingConn) error {
 	if err := s.writeFrames(cc, catchup); err != nil {
 		return err
 	}
-	if s.cfg.Journal == nil {
-		cc.welcomed.Store(true)
-	} else {
-		// Go-live handoff: frames broadcast during the welcome and
-		// catch-up writes sit in the (lossless) ctrl queue.
-		// Large backlogs drain in unlocked rounds — a slow late joiner
-		// must never make a broadcast wait on its socket — and the final
-		// round holds the attach barrier only for memory work: steal the
-		// remaining backlog, claim this client's codec write lock, open
-		// the welcomed gate. The backlog then goes on the wire outside
-		// every session lock; a live drain racing in queues behind the
-		// held write lock, so the first bytes after the catch-up are the
-		// backlog, in order, followed only by strictly newer traffic. A
-		// client that cannot outpace the broadcast rate grows its queue
-		// to maxCtrlQueue and is declared dead, which ends the loop.
-		for {
-			backlog := cc.ctrl.drainInto(nil, 0)
-			if len(backlog) <= 64 {
-				s.attachMu.Lock()
-				backlog = cc.ctrl.drainInto(backlog, 0)
-				cc.codec.lockWrites()
-				cc.welcomed.Store(true)
-				s.attachMu.Unlock()
-				err := s.writeFrameBufs(cc, backlog, true)
-				cc.codec.unlockWrites()
-				if err != nil {
-					return err
-				}
-				break
-			}
-			if err := s.writeFrameBufs(cc, backlog, false); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Flush anything queued while the welcome was in flight; earlier
-	// ClientReady signals were suppressed by the welcomed gate.
+	// Go live, journaled or not: the pool drains the backlog in ring order
+	// (a journaled ctrl ring is lossless and FIFO), one drain per client at
+	// a time, and only the read loop below writes to this codec besides —
+	// so newer traffic follows the backlog. The gate suppressed earlier
+	// ClientReady signals, hence the notify.
+	cc.welcomed.Store(true)
 	s.notifyWriter(cc)
 
 	// Read loop: dispatch client requests.
@@ -776,23 +723,19 @@ func (s *Session) admitLocked(a *attachMsg, c *codec) (*clientConn, error) {
 // s.mu alone: a broadcast still holding the old snapshot pushes onto the
 // dropped client's closed rings, which discard.
 func (s *Session) rebuildClientsLocked() {
-	view := make([]*clientConn, 0, len(s.order))
-	steer := make([]*clientConn, 0, len(s.order))
-	obs := []*clientConn{}
-	for _, name := range s.order {
-		cc := s.clients[name]
-		view = append(view, cc)
-		// Tier is fixed at attach (clientDesc.tier never changes on an
-		// interest swap), so the partition is stable between rebuilds.
-		if cc.desc.Load().tier == TierObserver {
-			obs = append(obs, cc)
-		} else {
-			steer = append(steer, cc)
+	// One pass per tier, steering first. Tier is fixed at attach (an
+	// interest swap keeps it), so the partition holds between rebuilds.
+	all := make([]*clientConn, 0, len(s.order))
+	nsteer := 0
+	for _, observers := range []bool{false, true} {
+		nsteer = len(all)
+		for _, name := range s.order {
+			if cc := s.clients[name]; (cc.desc.Load().tier == TierObserver) == observers {
+				all = append(all, cc)
+			}
 		}
 	}
-	s.clientsView.Store(&view)
-	s.steerView.Store(&steer)
-	s.obsView.Store(&obs)
+	s.snap.Store(&clientSnap{all: all, nsteer: nsteer})
 }
 
 // drop removes a client. If it held the master role the floor passes to
@@ -931,18 +874,21 @@ func (s *Session) isMaster(cc *clientConn) bool {
 	return s.master == cc.name
 }
 
+// enqueueOp queues op for the next poll and never blocks: on a full queue
+// it drops the oldest op ("latest steering wins") and retries, since a
+// concurrent enqueuer (a read loop, an in-process Queue* call) may take
+// the freed slot first.
 func (s *Session) enqueueOp(op pendingOp) {
-	select {
-	case s.pending <- op:
-	default:
-		// The simulation has not polled for a long time and the queue is
-		// full; dropping the oldest keeps the newest intent, matching
-		// "latest steering wins" semantics.
+	for {
+		select {
+		case s.pending <- op:
+			return
+		default:
+		}
 		select {
 		case <-s.pending:
 		default:
 		}
-		s.pending <- op
 	}
 }
 
@@ -1037,7 +983,7 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 		// that follows the steer (within ctrlBound toward an observer the
 		// sample does not reach) and the simulation goroutine pays no
 		// per-observer wakeup per steer.
-		clients := *s.clientsView.Load()
+		clients := s.snap.Load().all
 		keyed := len(fb.keys) > 0
 		rl := s.relay.Load()
 		var filtered uint64
@@ -1070,9 +1016,9 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 	} else {
 		// Steering tier: every frame, inline. The interest check is one
 		// atomic load plus map probes against an immutable descriptor.
-		steer := *s.steerView.Load()
+		snap := s.snap.Load()
 		var delivered, dropped, filtered uint64
-		for _, cc := range steer {
+		for _, cc := range snap.steering() {
 			if len(fb.keys) > 0 && !cc.desc.Load().wantsSample(fb.keys) {
 				filtered++
 				continue
@@ -1090,7 +1036,7 @@ func (s *Session) fanout(class JournalClass, fb *FrameBuf, ctrl bool) bool {
 		// Observer tier: the session's whole share is one ring push per
 		// relay worker; the workers do the per-observer work off this
 		// goroutine.
-		if len(*s.obsView.Load()) > 0 {
+		if len(snap.observers()) > 0 {
 			if rl := s.relay.Load(); rl != nil {
 				rl.publish(fb)
 			}
