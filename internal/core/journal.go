@@ -83,8 +83,8 @@ func journalClassOf(t msgType) JournalClass {
 
 // frameDecoder decodes journaled envelopes from their recorded bytes, under
 // the same limits a client applies to session traffic. One serves a whole
-// replay: its reader, wire decoder (with that decoder's two 32 KB buffers)
-// and scratch are reused from frame to frame.
+// replay: its reader, wire decoder (with that decoder's read buffer) and
+// scratch are reused from frame to frame.
 type frameDecoder struct {
 	rd      bytes.Reader
 	dec     *wire.Decoder

@@ -167,8 +167,9 @@ func TestDecodeScratchRetentionBounded(t *testing.T) {
 }
 
 // TestRecoverAllocBound: Recover decodes every journaled frame through one
-// reader, one wire decoder and one scratch. A decoder per frame cost its
-// 32 KB read buffer and 32 KB chunk buffer every time: ~66 KB per frame.
+// reader, one wire decoder and one scratch. A decoder per frame cost a fresh
+// read buffer every time (~66 KB per frame when a decoder held a 32 KB read
+// buffer and a 32 KB chunk buffer).
 func TestRecoverAllocBound(t *testing.T) {
 	const perKind = 4096
 	sink := &memSink{}

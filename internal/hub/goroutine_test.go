@@ -124,3 +124,63 @@ func TestClientCostsOneGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// TestClientHeapBudget bounds what an attached observer costs its hub in
+// live heap: its session state, its codec and the read side of its
+// connection. The read side is one read buffer that fixed-size payloads
+// decode from in place, so no per-client copy buffer may come back.
+func TestClientHeapBudget(t *testing.T) {
+	const (
+		clients = 64
+		budget  = 24 << 10 // bytes of live heap per client
+	)
+	frame := attachFrame(t, core.AttachOptions{Tier: core.TierObserver})
+
+	h := New(Config{Shards: 1})
+	defer h.Close()
+	sess, err := h.CreateSession(core.SessionConfig{Name: "watched"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go h.Serve(l)
+
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	conns := make([]net.Conn, 0, clients)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for i := 0; i < clients; i++ {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != nil {
+			t.Fatalf("client %d welcome: %v", i, err)
+		}
+	}
+	waitFor(t, "every client admitted", func() bool { return sess.ClientCount() == clients })
+
+	grown := int64(heap()) - int64(base)
+	per := grown / clients
+	if per > budget {
+		t.Fatalf("%d observers grew the live heap by %d bytes, %d per client, want at most %d", clients, grown, per, budget)
+	}
+	t.Logf("%d observers grew the live heap by %d bytes, %d per client", clients, grown, per)
+}

@@ -21,9 +21,6 @@ type Decoder struct {
 	r      *bufio.Reader
 	hdr    [headerSize]byte
 	limits Limits
-	// scratch is the reused chunk buffer for fixed-size payloads; its size
-	// bounds how much is read (and allocated) ahead of conversion.
-	scratch []byte
 	// lenBuf receives one variable-length element's length prefix, and
 	// strBuf the bytes of one short string while it is looked up in intern.
 	lenBuf [4]byte
@@ -44,13 +41,25 @@ const (
 	maxInternEntries = 128
 )
 
+// readBufSize is the size of the read buffer a Decoder wraps around a
+// plain io.Reader. Fixed-size payloads are converted straight out of it, so
+// it is all the read-side memory a connection holds between messages; a
+// read at least this large (a big blob) bypasses it into the caller's slice.
+const readBufSize = 8 << 10
+
+// maxPrealloc bounds the bytes allocated for one variable-length element
+// before its data arrives: the top of the blob class's 64 KB–1 MB range, so
+// typical blobs keep a single allocation while a header declaring a huge
+// element costs memory only as its bytes are received.
+const maxPrealloc = 1 << 20
+
 // NewDecoder returns a Decoder reading from r with the default Limits.
 func NewDecoder(r io.Reader) *Decoder {
 	d := &Decoder{limits: Limits{}.withDefaults()}
 	if br, ok := r.(*bufio.Reader); ok {
 		d.r = br
 	} else {
-		d.r = bufio.NewReaderSize(r, 32<<10)
+		d.r = bufio.NewReaderSize(r, readBufSize)
 	}
 	return d
 }
@@ -60,16 +69,16 @@ func NewDecoder(r io.Reader) *Decoder {
 // their payload is allocated.
 func (d *Decoder) SetLimits(l Limits) { d.limits = l.withDefaults() }
 
-// Reset points the decoder at a new stream, keeping its limits, scratch
-// buffer and intern table: the reuse hook for pooled connections, journal
-// replay and benchmarks.
+// Reset points the decoder at a new stream, keeping its limits, read buffer
+// (unless r is itself a *bufio.Reader) and intern table: the reuse hook for
+// pooled connections, journal replay and benchmarks.
 func (d *Decoder) Reset(r io.Reader) {
 	if br, ok := r.(*bufio.Reader); ok {
 		d.r = br
 		return
 	}
 	if d.r == nil {
-		d.r = bufio.NewReaderSize(r, 32<<10)
+		d.r = bufio.NewReaderSize(r, readBufSize)
 		return
 	}
 	d.r.Reset(r)
@@ -79,10 +88,6 @@ func (d *Decoder) Reset(r io.Reader) {
 // actually read, so a hostile header claiming a huge count cannot force a
 // huge allocation: slices grow with the stream instead.
 const allocChunk = 8192
-
-// chunkBytes is the size of the reused chunk buffer fixed-size payloads are
-// read through.
-const chunkBytes = 32 << 10
 
 // ReadHeader reads and validates the next message header. Its payload must
 // be consumed next, with ReadPayload or the typed reader for Header.Kind,
@@ -281,8 +286,8 @@ func (d *Decoder) ReadBlobs(dst [][]byte, h Header) ([][]byte, error) {
 		if err != nil {
 			return dst, err
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(d.r, b); err != nil {
+		b, err := d.readElem(n)
+		if err != nil {
 			return dst, err
 		}
 		dst = append(dst, b)
@@ -298,17 +303,24 @@ func (h Header) expect(k Kind) error {
 	return nil
 }
 
-// chunk reads the next run of a fixed-size payload, at most chunkBytes,
-// into the reused chunk buffer, so allocation tracks the bytes actually
-// received rather than the count a (possibly hostile) header claims. left
-// counts the elements still unread and is decremented by the run's length.
+// chunk returns the next run of a fixed-size payload, at most one read
+// buffer's worth, as a window into the read buffer itself, so nothing is
+// copied or allocated ahead of conversion whatever count a (possibly
+// hostile) header claims. The window aliases the buffer and is valid only
+// until the decoder's next read: callers convert it before calling chunk
+// again. left counts the elements still unread and is decremented by the
+// run's length. Errors map as io.ReadFull's do: a run that gets no bytes
+// returns io.EOF, a partial run io.ErrUnexpectedEOF.
 func (d *Decoder) chunk(left *int, sz int) ([]byte, error) {
-	if cap(d.scratch) < chunkBytes {
-		d.scratch = make([]byte, chunkBytes)
-	}
-	c := min(*left, chunkBytes/sz)
-	buf := d.scratch[:c*sz]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
+	c := min(*left, d.r.Size()/sz)
+	buf, err := d.r.Peek(c * sz)
+	// Peek leaves the bytes buffered, so Discard only advances past them
+	// and the window stays intact.
+	d.r.Discard(len(buf))
+	if err != nil {
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	*left -= c
@@ -332,11 +344,36 @@ func (d *Decoder) readLen(budget *int) (int, error) {
 	return int(n), nil
 }
 
+// readElem reads one n-byte variable-length element into an exact-size
+// slice the caller owns. At most maxPrealloc bytes are allocated before any
+// data arrives; a longer element's buffer doubles, capped at n, as bytes
+// are received, so a header declaring a huge element that never comes
+// costs what was actually sent. Errors map as io.ReadFull's do.
+func (d *Decoder) readElem(n int) ([]byte, error) {
+	b := make([]byte, min(n, maxPrealloc))
+	for got := 0; ; {
+		m, err := io.ReadFull(d.r, b[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == n {
+			return b, nil
+		}
+		grown := make([]byte, min(2*len(b), n))
+		copy(grown, b)
+		b = grown
+	}
+}
+
 // readString reads one n-byte string element, interning it when short.
 func (d *Decoder) readString(n int) (string, error) {
 	if n > maxInternLen {
-		b := make([]byte, n)
-		if _, err := io.ReadFull(d.r, b); err != nil {
+		b, err := d.readElem(n)
+		if err != nil {
 			return "", err
 		}
 		return string(b), nil

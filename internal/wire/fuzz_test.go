@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -11,7 +12,10 @@ var fuzzLimits = Limits{MaxElements: 1 << 12, MaxBlobLen: 1 << 12, MaxPayload: 1
 
 // FuzzDecode feeds arbitrary bytes to the decoder and round-trips every
 // message that decodes: decode → re-encode → decode must reproduce the
-// identical byte stream (the codec is canonical).
+// identical byte stream (the codec is canonical). It also decodes each
+// input through a 16-byte read buffer, where every fixed-size payload spans
+// many read windows: that must yield the same messages and fail at the
+// same message.
 func FuzzDecode(f *testing.F) {
 	f.Add(AppendInt64s(nil, 1, []int64{1, -5, 1 << 40}))
 	f.Add(AppendInt32s(nil, 2, []int32{0, -1}))
@@ -27,8 +31,14 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(bytes.NewReader(data))
 		d.SetLimits(fuzzLimits)
-		for {
+		small := NewDecoder(bufio.NewReaderSize(bytes.NewReader(data), 16))
+		small.SetLimits(fuzzLimits)
+		for i := 0; ; i++ {
 			m, err := d.Next()
+			ms, errs := small.Next()
+			if (err == nil) != (errs == nil) {
+				t.Fatalf("message %d: whole-buffer decode err %v, 16-byte-window decode err %v", i, err, errs)
+			}
 			if err != nil {
 				return // malformed input must error, never panic or OOM
 			}
@@ -38,6 +48,13 @@ func FuzzDecode(f *testing.F) {
 				// re-encoding can only fail for kinds Message cannot express;
 				// none exist today.
 				t.Fatalf("re-encode of decoded message failed: %v", err)
+			}
+			var outs bytes.Buffer
+			if err := NewEncoder(&outs).Message(ms); err != nil {
+				t.Fatalf("re-encode of 16-byte-window message failed: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), outs.Bytes()) {
+				t.Fatalf("message %d differs through a 16-byte window:\n  whole %x\n  small %x", i, out.Bytes(), outs.Bytes())
 			}
 			d2 := NewDecoder(bytes.NewReader(out.Bytes()))
 			d2.SetLimits(fuzzLimits)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -161,5 +164,45 @@ func TestHugeCountClaimDoesNotPreallocate(t *testing.T) {
 	patchCount(b, MaxElements)
 	if _, err := NewDecoder(bytes.NewReader(b)).Next(); err == nil {
 		t.Fatal("truncated huge frame decoded")
+	}
+}
+
+// TestDeclaredElementSizeNotPreallocated: a variable-length element is
+// allocated as its bytes arrive, not at the length its prefix declares, so
+// a 23-byte frame declaring a 64 MiB blob (or string) at the default limits
+// fails on EOF after a bounded allocation. Elements past the up-front bound
+// still round-trip byte-exact.
+func TestDeclaredElementSizeNotPreallocated(t *testing.T) {
+	for _, kind := range []Kind{KindBytes, KindString} {
+		b := AppendHeader(nil, 1, kind, 1)
+		b = binary.BigEndian.AppendUint32(b, 64<<20)
+		b = append(b, 1, 2, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := NewDecoder(bytes.NewReader(b)).Next()
+		runtime.ReadMemStats(&after)
+		if m != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: truncated 64 MiB element = %v, %v; want io.ErrUnexpectedEOF", kind, m, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+			t.Fatalf("%s: a 23-byte frame declaring 64 MiB allocated %d bytes, want < 4 MiB", kind, grew)
+		}
+	}
+
+	blob := make([]byte, 3<<20)
+	for i := range blob {
+		blob[i] = byte(i * 7)
+	}
+	str := strings.Repeat("steer", (2<<20)/5+1)[:2<<20]
+	var stream []byte
+	stream = AppendBytes(stream, 1, blob)
+	stream = AppendStrings(stream, 2, []string{str})
+	d := NewDecoder(bytes.NewReader(stream))
+	m, err := d.Next()
+	if err != nil || len(m.Blobs) != 1 || !bytes.Equal(m.Blobs[0], blob) || cap(m.Blobs[0]) != len(blob) {
+		t.Fatalf("3 MiB blob did not round-trip exactly: %v", err)
+	}
+	if m, err = d.Next(); err != nil || len(m.Strings) != 1 || m.Strings[0] != str {
+		t.Fatalf("2 MiB string did not round-trip: %v", err)
 	}
 }
