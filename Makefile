@@ -10,7 +10,7 @@ BENCHCOUNT ?= 3
 SOAK_SESSIONS ?= 4
 SOAK_CLIENTS ?= 64
 SOAK_DURATION ?= 20s
-SOAK_OUT ?= BENCH_6.json
+SOAK_OUT ?= bench-soak.json
 SOAK_FLAGS ?=
 # Observer-tier soak shape: ISSUE 8's interest-management scenario — one
 # steering session, a 4k observer fleet of which 1% subscribed to the live
@@ -176,8 +176,9 @@ fuzz-smoke:
 # soak drives the steerload harness against an in-process hub over real
 # loopback TCP — 4 sessions × 64 clients with attach/detach churn, floor
 # contention and journaled replay by default — and writes the
-# benchcompare-compatible latency histograms to BENCH_6.json. Gate against
-# the committed baseline with SOAK_FLAGS='-baseline BENCH_6.json -max-regress 3'.
+# benchcompare-compatible latency histograms to bench-soak.json. Gate against
+# the committed baseline with SOAK_FLAGS='-baseline BENCH_6.json -max-regress 3'
+# (steerload refuses an -out that names its -baseline).
 soak:
 	$(GO) run ./cmd/steerload -sessions $(SOAK_SESSIONS) -clients $(SOAK_CLIENTS) \
 		-duration $(SOAK_DURATION) -churn -floor -journal -out $(SOAK_OUT) $(SOAK_FLAGS)

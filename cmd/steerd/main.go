@@ -201,8 +201,9 @@ func main() {
 	stats := h.Stats()
 	fmt.Printf("steerd: shutting down (%d sessions, %d clients, %d samples emitted, %d delivered, %d dropped)\n",
 		stats.Sessions, stats.Clients, stats.SamplesEmitted, stats.SamplesDelivered, stats.SamplesDropped)
-	fmt.Printf("steerd: floor activity: %d grants, %d denials, %d lease expiries, %d steals, %d handoffs, %d pending\n",
-		stats.FloorGrants, stats.FloorDenials, stats.FloorExpiries, stats.FloorSteals, stats.FloorHandoffs, stats.FloorPending)
+	f := stats.Floor
+	fmt.Printf("steerd: floor activity: %d grants, %d denials, %d releases, %d lease expiries, %d steals, %d handoffs, %d pending\n",
+		f.Grants, f.Denials, f.Releases, f.Expiries, f.Steals, f.Handoffs, f.Pending)
 	fmt.Printf("steerd: delivery tiers: %d steerers, %d observers, %d frames filtered, %d relay publishes, %d coalesced, %d observer flushes pushed by a steer\n",
 		stats.TierSteerers, stats.TierObservers, stats.FramesFiltered, stats.RelayPublished, stats.RelayCoalesced, stats.RelayPushed)
 	fmt.Printf("steerd: egress: %d vectored batches, %d buffered, %d frames coalesced (%d bytes), %d bytes zero-copy, ~%d syscalls saved\n",

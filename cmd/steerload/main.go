@@ -9,7 +9,7 @@
 // what `make soak` and the nightly CI job run:
 //
 //	steerload -sessions 4 -clients 64 -duration 20s -churn -floor -journal \
-//	          -out BENCH_6.json
+//	          -out bench-soak.json
 //
 // With -observer-tier (local mode) the observer crowd attaches at
 // core.TierObserver behind interest subscriptions — an -observer-interest
@@ -30,7 +30,8 @@
 // The JSON it writes is a cmd/benchcompare baseline ({"meta": ..., "bench":
 // {"LoadSteerObserve/p99": {"ns_op": ...}, ...}}), so runs diff against each
 // other and against the committed BENCH_6.json. -baseline compares the run
-// against such a file directly and exits 1 on regression:
+// against such a file directly and exits 1 on regression; an -out naming the
+// same file is refused, since it would overwrite the baseline first:
 //
 //	steerload -duration 60s -baseline BENCH_6.json -max-regress 3.0
 //
@@ -46,6 +47,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"time"
@@ -91,6 +93,9 @@ func main() {
 }
 
 func run(sc loadgen.Scenario, sessionNames, out, baseline string, maxRegress float64, gate string) error {
+	if out != "" && baseline != "" && filepath.Clean(out) == filepath.Clean(baseline) {
+		return fmt.Errorf("-out %s names the -baseline file: the run would overwrite it before comparing", out)
+	}
 	if sessionNames != "" {
 		for _, n := range strings.Split(sessionNames, ",") {
 			if n = strings.TrimSpace(n); n != "" {

@@ -141,6 +141,20 @@ type FloorStats struct {
 	Steals uint64
 }
 
+// Add returns the field-wise sum of f and o, the aggregate of two sessions'
+// floors. Master names one session's holder, so the sum leaves it empty.
+func (f FloorStats) Add(o FloorStats) FloorStats {
+	return FloorStats{
+		Pending:  f.Pending + o.Pending,
+		Grants:   f.Grants + o.Grants,
+		Denials:  f.Denials + o.Denials,
+		Releases: f.Releases + o.Releases,
+		Handoffs: f.Handoffs + o.Handoffs,
+		Expiries: f.Expiries + o.Expiries,
+		Steals:   f.Steals + o.Steals,
+	}
+}
+
 // floorWaiter is one queued master request.
 type floorWaiter struct {
 	name     string

@@ -170,44 +170,6 @@ type Session struct {
 	closeCh    chan struct{}
 }
 
-// Stats counts session activity; the experiments read these.
-type Stats struct {
-	SamplesEmitted   uint64
-	SamplesDelivered uint64
-	SamplesDropped   uint64
-	SteersApplied    uint64
-	SteersRejected   uint64
-	// FramesFiltered counts deliveries skipped because the frame matched
-	// nothing in the client's interest set.
-	FramesFiltered uint64
-	// RelayPublished counts sample frames handed to the observer relay
-	// pool; RelayCoalesced counts frames its input rings overwrote before
-	// fan-out (freshest-wins under overload). RelayPushed counts push
-	// flushes: a relay worker waking its observers' writers ahead of
-	// ObserverInterval because a steer's first frame arrived — one per
-	// worker with something to flush, however many observers it woke; the
-	// rest of the observer tier's flushes were interval flushes.
-	RelayPublished uint64
-	RelayCoalesced uint64
-	RelayPushed    uint64
-	// BlobsEmitted/BlobBytes count blob-class broadcasts (bulk frames) and
-	// their payload bytes; their deliveries and drops share
-	// SamplesDelivered/SamplesDropped.
-	BlobsEmitted uint64
-	BlobBytes    uint64
-	// Egress activity: batches written by writev and by one gathered
-	// Write (conns without writev), frames (and bytes) copied into the
-	// gather scratch, large-frame bytes handed to the kernel without a
-	// copy, and the Writes beyond one that each writev batch's iovec would
-	// have cost without writev.
-	EgressBatchesVectored uint64
-	EgressBatchesBuffered uint64
-	EgressFramesCoalesced uint64
-	EgressBytesCoalesced  uint64
-	EgressBytesZeroCopy   uint64
-	EgressSyscallsSaved   uint64
-}
-
 // pendingOp is a steering operation queued for the simulation's next poll.
 type pendingOp struct {
 	sets []ParamSet
@@ -365,32 +327,6 @@ func (s *Session) Clients() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.order...)
-}
-
-// Stats returns a copy of the activity counters. The counters are atomics
-// maintained on the broadcast hot path, so the copy is a consistent-enough
-// snapshot (each counter individually exact, the set read without a lock).
-func (s *Session) Stats() Stats {
-	return Stats{
-		SamplesEmitted:   s.statSamplesEmitted.Load(),
-		SamplesDelivered: s.statSamplesDelivered.Load(),
-		SamplesDropped:   s.statSamplesDropped.Load(),
-		SteersApplied:    s.statSteersApplied.Load(),
-		SteersRejected:   s.statSteersRejected.Load(),
-		FramesFiltered:   s.statFramesFiltered.Load(),
-		RelayPublished:   s.statRelayPublished.Load(),
-		RelayCoalesced:   s.statRelayCoalesced.Load(),
-		RelayPushed:      s.statRelayPushed.Load(),
-		BlobsEmitted:     s.statBlobsEmitted.Load(),
-		BlobBytes:        s.statBlobBytes.Load(),
-
-		EgressBatchesVectored: s.egress.batchesVectored.Load(),
-		EgressBatchesBuffered: s.egress.batchesBuffered.Load(),
-		EgressFramesCoalesced: s.egress.framesCoalesced.Load(),
-		EgressBytesCoalesced:  s.egress.bytesCoalesced.Load(),
-		EgressBytesZeroCopy:   s.egress.bytesZeroCopy.Load(),
-		EgressSyscallsSaved:   s.egress.syscallsSaved.Load(),
-	}
 }
 
 // TierCounts returns the current number of steering- and observer-tier

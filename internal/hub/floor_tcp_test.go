@@ -47,7 +47,7 @@ func TestTCPFloorQueuedThenGranted(t *testing.T) {
 		granted <- o.RequestMaster(ctx)
 	}()
 	waitFor(t, "request queued", func() bool {
-		st, ok := h.SessionFloor(name)
+		st, ok := sessionFloor(h, name)
 		return ok && st.Pending == 1
 	})
 
@@ -60,7 +60,7 @@ func TestTCPFloorQueuedThenGranted(t *testing.T) {
 	waitFor(t, "grant visible on both clients", func() bool {
 		return o.Role() == core.RoleMaster && m.Master() == "o"
 	})
-	st, _ := h.SessionFloor(name)
+	st, _ := sessionFloor(h, name)
 	if st.Master != "o" || st.Pending != 0 || st.Releases != 1 {
 		t.Fatalf("floor stats = %+v", st)
 	}
@@ -77,14 +77,14 @@ func TestTCPFloorNoWaitDenial(t *testing.T) {
 	if !errors.Is(err, core.ErrFloorHeld) {
 		t.Fatalf("no-wait request = %v, want ErrFloorHeld", err)
 	}
-	st, _ := h.SessionFloor(name)
+	st, _ := sessionFloor(h, name)
 	if st.Denials != 1 || st.Pending != 0 || st.Master != "m" {
 		t.Fatalf("floor stats after denial = %+v", st)
 	}
 	// The denial also shows in the hub-level aggregate the load harness
 	// reads.
-	if hs := h.Stats(); hs.FloorDenials != 1 {
-		t.Fatalf("hub aggregate denials = %d, want 1", hs.FloorDenials)
+	if hs := h.Stats(); hs.Floor.Denials != 1 {
+		t.Fatalf("hub aggregate denials = %d, want 1", hs.Floor.Denials)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestTCPFloorCancelWithdrawsRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { done <- o.RequestMaster(ctx) }()
 	waitFor(t, "request queued", func() bool {
-		st, ok := h.SessionFloor(name)
+		st, ok := sessionFloor(h, name)
 		return ok && st.Pending == 1
 	})
 
@@ -109,7 +109,7 @@ func TestTCPFloorCancelWithdrawsRequest(t *testing.T) {
 		t.Fatalf("cancelled request = %v", err)
 	}
 	waitFor(t, "request withdrawn", func() bool {
-		st, _ := h.SessionFloor(name)
+		st, _ := sessionFloor(h, name)
 		return st.Pending == 0
 	})
 
@@ -117,7 +117,7 @@ func TestTCPFloorCancelWithdrawsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "floor free", func() bool {
-		st, _ := h.SessionFloor(name)
+		st, _ := sessionFloor(h, name)
 		return st.Master == ""
 	})
 	if o.Role() == core.RoleMaster {
@@ -151,7 +151,7 @@ func TestTCPFloorFIFOOrder(t *testing.T) {
 			grants[idx] <- err
 		}()
 		waitFor(t, "request queued", func() bool {
-			st, ok := h.SessionFloor(name)
+			st, ok := sessionFloor(h, name)
 			return ok && st.Pending == i+1
 		})
 	}
@@ -198,7 +198,7 @@ func TestTCPFloorPriorityOrder(t *testing.T) {
 			}
 		}(c)
 		waitFor(t, "request queued", func() bool {
-			st, ok := h.SessionFloor(name)
+			st, ok := sessionFloor(h, name)
 			return ok && st.Pending == i+1
 		})
 	}
@@ -237,7 +237,7 @@ func TestTCPFloorStealPolicyGate(t *testing.T) {
 	waitFor(t, "steal visible", func() bool {
 		return m.Master() == "admin" && m.FloorReason() == core.FloorStolen
 	})
-	if st, _ := h.SessionFloor("steal-sess"); st.Steals != 1 || st.Master != "admin" {
+	if st, _ := sessionFloor(h, "steal-sess"); st.Steals != 1 || st.Master != "admin" {
 		t.Fatalf("steal stats = %+v", st)
 	}
 
@@ -246,7 +246,7 @@ func TestTCPFloorStealPolicyGate(t *testing.T) {
 	if err := thief.StealMaster(time.Second); !errors.Is(err, core.ErrFloorHeld) {
 		t.Fatalf("steal under fifo = %v, want ErrFloorHeld", err)
 	}
-	if st, _ := h.SessionFloor("fifo-sess"); st.Denials != 1 || st.Steals != 0 || st.Master != "m" {
+	if st, _ := sessionFloor(h, "fifo-sess"); st.Denials != 1 || st.Steals != 0 || st.Master != "m" {
 		t.Fatalf("fifo steal stats = %+v", st)
 	}
 }
@@ -274,7 +274,7 @@ func TestTCPFloorLeaseExpiry(t *testing.T) {
 		t.Fatalf("promotion after lease expiry: %v", err)
 	}
 	waitFor(t, "expiry visible", func() bool {
-		st, _ := h.SessionFloor(name)
+		st, _ := sessionFloor(h, name)
 		return st.Master == "o" && st.Expiries >= 1
 	})
 	// The wedged client wakes to find it lost the floor.
@@ -283,7 +283,7 @@ func TestTCPFloorLeaseExpiry(t *testing.T) {
 	if err := wedged.PauseContext(wctx); !errors.Is(err, core.ErrNotMaster) {
 		t.Fatalf("woken ex-master pause = %v, want ErrNotMaster", err)
 	}
-	if hs := h.Stats(); hs.FloorExpiries == 0 {
+	if hs := h.Stats(); hs.Floor.Expiries == 0 {
 		t.Fatal("hub aggregate missed the lease expiry")
 	}
 }

@@ -91,57 +91,21 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats aggregates activity across every session the hub hosts, exposed the
-// way core.Session.Stats is: cumulative counters plus a sampled rate.
+// Stats aggregates activity across every session the hub hosts: the sum of
+// the sessions' counters and floors, plus what only the hub knows.
 type Stats struct {
+	core.Stats
+	// Floor sums every session's floor activity; Master stays empty, and
+	// one session's floor is read from Lookup(name).FloorStats().
+	Floor core.FloorStats
+
 	Shards   int
 	Sessions int
 	Clients  int
-
-	SamplesEmitted   uint64
-	SamplesDelivered uint64
-	SamplesDropped   uint64
-	SteersApplied    uint64
-	SteersRejected   uint64
-
-	// Delivery-tier aggregates: how the connected clients split across the
-	// steering and observer tiers, frames skipped by interest filtering,
-	// and relay-worker activity (publishes onto the worker rings, frames
-	// coalesced away under backlog, observer flushes a steer pushed through
-	// ahead of the interval).
-	TierSteerers   int
-	TierObservers  int
-	FramesFiltered uint64
-	RelayPublished uint64
-	RelayCoalesced uint64
-	RelayPushed    uint64
-
-	// Egress aggregates across every hosted session: batches written by
-	// writev and by one gathered Write (conns without writev), frames and
-	// bytes copied into the gather scratch, large-frame bytes handed to the
-	// kernel zero-copy, and the Writes beyond one that each writev batch's
-	// iovec would have cost without writev.
-	EgressBatchesVectored uint64
-	EgressBatchesBuffered uint64
-	EgressFramesCoalesced uint64
-	EgressBytesCoalesced  uint64
-	EgressBytesZeroCopy   uint64
-	EgressSyscallsSaved   uint64
-
-	// Floor-control aggregates across every hosted session: how often the
-	// master role moved, how contested it is right now, and how it moved
-	// (explicit denial, lease expiry, administrative steal). Per-session
-	// detail is available from SessionFloor.
-	FloorGrants   uint64
-	FloorDenials  uint64
-	FloorExpiries uint64
-	FloorSteals   uint64
-	FloorHandoffs uint64
-	FloorPending  int
-
-	// SamplesPerSec is the emission rate observed between the two most
-	// recent Stats calls at least rateWindow apart (0 until measurable).
-	SamplesPerSec float64
+	// TierSteerers and TierObservers split the connected clients across
+	// the steering and observer delivery tiers.
+	TierSteerers  int
+	TierObservers int
 
 	// Accept-path health: connections accepted, connections shed because
 	// MaxHandshakes were already mid-handshake, and handshakes that failed
@@ -150,9 +114,6 @@ type Stats struct {
 	ConnsShed      uint64
 	HandshakeFails uint64
 }
-
-// rateWindow is the minimum spacing between rate measurements.
-const rateWindow = 100 * time.Millisecond
 
 // Hub hosts many concurrent core.Sessions behind one listener.
 type Hub struct {
@@ -173,11 +134,6 @@ type Hub struct {
 	statConnsAccepted  atomic.Uint64
 	statConnsShed      atomic.Uint64
 	statHandshakeFails atomic.Uint64
-
-	rateMu      sync.Mutex
-	rateTime    time.Time
-	rateEmitted uint64
-	rate        float64
 }
 
 // New creates a hub ready to create sessions and serve listeners.
@@ -325,16 +281,6 @@ func sessionDirName(name string) string {
 // Lookup returns the registered session with the given name.
 func (h *Hub) Lookup(name string) (*core.Session, bool) {
 	return h.shards[h.ring.lookup(name)].lookup(name)
-}
-
-// SessionFloor returns one session's floor-control snapshot: the current
-// master, the pending-requester backlog and the transition counters.
-func (h *Hub) SessionFloor(name string) (core.FloorStats, bool) {
-	sess, ok := h.Lookup(name)
-	if !ok {
-		return core.FloorStats{}, false
-	}
-	return sess.FloorStats(), true
 }
 
 // Evict closes and unregisters a session, detaching its clients. It reports
@@ -485,8 +431,8 @@ func (h *Hub) route(conn net.Conn) {
 	}
 }
 
-// Stats aggregates counters across all sessions and samples the emission
-// rate.
+// Stats sums the counters of every hosted session. It only reads: calling
+// it changes nothing, so any number of readers may poll it.
 func (h *Hub) Stats() Stats {
 	st := Stats{
 		Shards:         len(h.shards),
@@ -499,45 +445,13 @@ func (h *Hub) Stats() Stats {
 			sess := e.sess
 			st.Sessions++
 			st.Clients += sess.ClientCount()
-			s := sess.Stats()
-			st.SamplesEmitted += s.SamplesEmitted
-			st.SamplesDelivered += s.SamplesDelivered
-			st.SamplesDropped += s.SamplesDropped
-			st.SteersApplied += s.SteersApplied
-			st.SteersRejected += s.SteersRejected
-			st.FramesFiltered += s.FramesFiltered
-			st.RelayPublished += s.RelayPublished
-			st.RelayCoalesced += s.RelayCoalesced
-			st.RelayPushed += s.RelayPushed
-			st.EgressBatchesVectored += s.EgressBatchesVectored
-			st.EgressBatchesBuffered += s.EgressBatchesBuffered
-			st.EgressFramesCoalesced += s.EgressFramesCoalesced
-			st.EgressBytesCoalesced += s.EgressBytesCoalesced
-			st.EgressBytesZeroCopy += s.EgressBytesZeroCopy
-			st.EgressSyscallsSaved += s.EgressSyscallsSaved
 			steer, obs := sess.TierCounts()
 			st.TierSteerers += steer
 			st.TierObservers += obs
-			f := sess.FloorStats()
-			st.FloorGrants += f.Grants
-			st.FloorDenials += f.Denials
-			st.FloorExpiries += f.Expiries
-			st.FloorSteals += f.Steals
-			st.FloorHandoffs += f.Handoffs
-			st.FloorPending += f.Pending
+			st.Stats = st.Stats.Add(sess.Stats())
+			st.Floor = st.Floor.Add(sess.FloorStats())
 		}
 	}
-
-	now := time.Now()
-	h.rateMu.Lock()
-	if h.rateTime.IsZero() {
-		h.rateTime, h.rateEmitted = now, st.SamplesEmitted
-	} else if dt := now.Sub(h.rateTime); dt >= rateWindow {
-		h.rate = float64(st.SamplesEmitted-h.rateEmitted) / dt.Seconds()
-		h.rateTime, h.rateEmitted = now, st.SamplesEmitted
-	}
-	st.SamplesPerSec = h.rate
-	h.rateMu.Unlock()
 	return st
 }
 

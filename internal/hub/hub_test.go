@@ -24,6 +24,15 @@ func testHub(t *testing.T, cfg Config) (*Hub, string) {
 	return h, l.Addr().String()
 }
 
+// sessionFloor reads one hosted session's floor snapshot.
+func sessionFloor(h *Hub, name string) (core.FloorStats, bool) {
+	sess, ok := h.Lookup(name)
+	if !ok {
+		return core.FloorStats{}, false
+	}
+	return sess.FloorStats(), true
+}
+
 func dialSession(t *testing.T, addr string, opts core.AttachOptions) *core.Client {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -430,7 +439,7 @@ func TestControlSurvivesSampleBurst(t *testing.T) {
 // TestHubFloorControl drives the floor-control subsystem through the hub:
 // session floor defaults flow from Config.SessionDefaults, a wedged master
 // behind the pooled writers loses its lease, per-session floor state is
-// visible via SessionFloor, and the hub Stats aggregate the transitions.
+// visible via its FloorStats, and the hub Stats aggregate the transitions.
 func TestHubFloorControl(t *testing.T) {
 	h, addr := testHub(t, Config{
 		Shards: 2,
@@ -460,12 +469,12 @@ func TestHubFloorControl(t *testing.T) {
 	}
 	waitFor(t, "expiry visible", func() bool { return sess.Master() == "next" })
 
-	fs, ok := h.SessionFloor("contested")
+	fs, ok := sessionFloor(h, "contested")
 	if !ok || fs.Master != "next" || fs.Expiries == 0 {
-		t.Fatalf("SessionFloor = %+v, %v", fs, ok)
+		t.Fatalf("floor = %+v, %v", fs, ok)
 	}
-	if _, ok := h.SessionFloor("ghost"); ok {
-		t.Fatal("SessionFloor found a ghost session")
+	if _, ok := sessionFloor(h, "ghost"); ok {
+		t.Fatal("Lookup found a ghost session")
 	}
 
 	// Administrative steal through the hub (policy came from the defaults).
@@ -476,7 +485,7 @@ func TestHubFloorControl(t *testing.T) {
 	waitFor(t, "steal visible", func() bool { return sess.Master() == "admin" })
 
 	st := h.Stats()
-	if st.FloorGrants == 0 || st.FloorExpiries == 0 || st.FloorSteals == 0 {
+	if st.Floor.Grants == 0 || st.Floor.Expiries == 0 || st.Floor.Steals == 0 {
 		t.Fatalf("hub floor aggregates = %+v", st)
 	}
 }
@@ -514,8 +523,49 @@ func TestHubFloorDefaultsRespectExplicitValues(t *testing.T) {
 		t.Fatalf("steal under pinned FIFO = %v", err)
 	}
 	time.Sleep(150 * time.Millisecond) // 3× the hub default lease
-	if fs, _ := h.SessionFloor("pinned"); fs.Master != "m" || fs.Expiries != 0 {
+	if fs, _ := sessionFloor(h, "pinned"); fs.Master != "m" || fs.Expiries != 0 {
 		t.Fatalf("lease-disabled session expired its master: %+v", fs)
+	}
+}
+
+// TestHubStatsSumSessions: the hub aggregate is the exact sum of its
+// sessions' counters, blob traffic and voluntary floor releases included,
+// and reading it changes nothing.
+func TestHubStatsSumSessions(t *testing.T) {
+	h, addr := testHub(t, Config{Shards: 2})
+	a, b := "sum-a", "sum-b"
+	for i := 0; h.ShardOf(a) == h.ShardOf(b); i++ {
+		b = fmt.Sprintf("sum-b%d", i)
+	}
+	sa, err := h.CreateSession(core.SessionConfig{Name: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := h.CreateSession(core.SessionConfig{Name: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa.Steered().EmitBlob(&core.Blob{Stream: "pixels", Data: make([]byte, 1000)})
+	sb.Steered().EmitBlob(&core.Blob{Stream: "pixels", Data: make([]byte, 24)})
+
+	// The first attacher is granted the floor at attach and gives it up.
+	c := dialSession(t, addr, core.AttachOptions{Name: "m", Session: a})
+	if err := c.ReleaseMaster(time.Second); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	waitFor(t, "release seen by the client", func() bool { return c.Master() == "" })
+	c.Close()
+	waitFor(t, "client detached", func() bool { return h.Stats().Clients == 0 })
+
+	st := h.Stats()
+	if st.Sessions != 2 || st.BlobsEmitted != 2 || st.BlobBytes != 1024 {
+		t.Fatalf("sessions/blobs/bytes = %d/%d/%d, want 2/2/1024", st.Sessions, st.BlobsEmitted, st.BlobBytes)
+	}
+	if st.Floor.Grants != 1 || st.Floor.Releases != 1 || st.Floor.Master != "" {
+		t.Fatalf("floor aggregate = %+v, want 1 grant, 1 release, no master", st.Floor)
+	}
+	if again := h.Stats(); again != st {
+		t.Fatalf("Stats changed with no traffic:\n%+v\n%+v", st, again)
 	}
 }
 

@@ -135,8 +135,9 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		}
 	}
 
+	var emitted0 uint64
 	if h != nil {
-		h.Stats() // arm the rate window so the final Stats carries samples/sec
+		emitted0 = h.Stats().SamplesEmitted
 	}
 
 	runCtx, cancel := context.WithTimeout(ctx, sc.Duration)
@@ -232,28 +233,8 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		st := h.Stats()
 		tc := <-tierC
 		st.TierSteerers, st.TierObservers = tc[0], tc[1]
-		res.Hub = &HubStats{
-			Sessions:         st.Sessions,
-			Clients:          st.Clients,
-			SamplesEmitted:   st.SamplesEmitted,
-			SamplesDelivered: st.SamplesDelivered,
-			SamplesDropped:   st.SamplesDropped,
-			SteersApplied:    st.SteersApplied,
-			FloorGrants:      st.FloorGrants,
-			FloorDenials:     st.FloorDenials,
-			FloorExpiries:    st.FloorExpiries,
-			TierSteerers:     st.TierSteerers,
-			TierObservers:    st.TierObservers,
-			FramesFiltered:   st.FramesFiltered,
-			RelayPublished:   st.RelayPublished,
-			RelayCoalesced:   st.RelayCoalesced,
-			EgressVectored:   st.EgressBatchesVectored,
-			EgressBuffered:   st.EgressBatchesBuffered,
-			EgressCoalesced:  st.EgressBytesCoalesced,
-			EgressZeroCopy:   st.EgressBytesZeroCopy,
-			EgressSyscalls:   st.EgressSyscallsSaved,
-			SamplesPerSec:    st.SamplesPerSec,
-		}
+		res.Hub = &st
+		res.SamplesPerSec = float64(st.SamplesEmitted-emitted0) / elapsed.Seconds()
 		close(appStop)
 		appWG.Wait()
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hub"
 )
 
 // Scenario describes one load/soak run: the target, the fleet shape, the
@@ -171,31 +172,6 @@ type Counters struct {
 	UnexpectedGrants uint64 `json:"unexpected_grants"`
 }
 
-// HubStats is the subset of hub.Stats the result embeds (duplicated here so
-// loadgen's JSON shape doesn't chase hub's internal struct).
-type HubStats struct {
-	Sessions         int     `json:"sessions"`
-	Clients          int     `json:"clients"`
-	SamplesEmitted   uint64  `json:"samples_emitted"`
-	SamplesDelivered uint64  `json:"samples_delivered"`
-	SamplesDropped   uint64  `json:"samples_dropped"`
-	SteersApplied    uint64  `json:"steers_applied"`
-	FloorGrants      uint64  `json:"floor_grants"`
-	FloorDenials     uint64  `json:"floor_denials"`
-	FloorExpiries    uint64  `json:"floor_expiries"`
-	TierSteerers     int     `json:"tier_steerers,omitempty"`
-	TierObservers    int     `json:"tier_observers,omitempty"`
-	FramesFiltered   uint64  `json:"frames_filtered,omitempty"`
-	RelayPublished   uint64  `json:"relay_published,omitempty"`
-	RelayCoalesced   uint64  `json:"relay_coalesced,omitempty"`
-	EgressVectored   uint64  `json:"egress_vectored,omitempty"`
-	EgressBuffered   uint64  `json:"egress_buffered,omitempty"`
-	EgressCoalesced  uint64  `json:"egress_bytes_coalesced,omitempty"`
-	EgressZeroCopy   uint64  `json:"egress_bytes_zero_copy,omitempty"`
-	EgressSyscalls   uint64  `json:"egress_syscalls_saved,omitempty"`
-	SamplesPerSec    float64 `json:"samples_per_sec"`
-}
-
 // Result is one completed run: the scenario, the latency distributions, the
 // event counters, and (in-process mode) the hub's own view of the traffic.
 //
@@ -215,7 +191,11 @@ type Result struct {
 	Elapsed  time.Duration            `json:"elapsed_ns"`
 	Hist     map[string]*HistSnapshot `json:"hist"`
 	Counters Counters                 `json:"counters"`
-	Hub      *HubStats                `json:"hub,omitempty"`
+	// Hub is the in-process hub's aggregate at the end of the run (tier
+	// counts sampled mid-run) and SamplesPerSec its emission rate over
+	// Elapsed; against a live steerd both are unset.
+	Hub           *hub.Stats `json:"hub,omitempty"`
+	SamplesPerSec float64    `json:"samples_per_sec,omitempty"`
 }
 
 // Bench flattens the result into cmd/benchcompare's baseline shape:
@@ -252,14 +232,15 @@ func (r *Result) Bench() map[string]map[string]float64 {
 func (r *Result) WriteJSON(w io.Writer) error {
 	doc := map[string]any{
 		"meta": map[string]any{
-			"harness":     "steerload",
-			"scenario":    r.Scenario,
-			"start":       r.Start,
-			"elapsed_ns":  r.Elapsed,
-			"counters":    r.Counters,
-			"hub":         r.Hub,
-			"histograms":  r.Hist,
-			"description": "steer→observe round-trip latency under load; see DESIGN.md §10.1",
+			"harness":         "steerload",
+			"scenario":        r.Scenario,
+			"start":           r.Start,
+			"elapsed_ns":      r.Elapsed,
+			"counters":        r.Counters,
+			"hub":             r.Hub,
+			"samples_per_sec": r.SamplesPerSec,
+			"histograms":      r.Hist,
+			"description":     "steer→observe round-trip latency under load; see DESIGN.md §10.1",
 		},
 		"bench": r.Bench(),
 	}
@@ -294,7 +275,7 @@ func (r *Result) String() string {
 	if r.Hub != nil {
 		out += fmt.Sprintf("  hub: emitted=%d delivered=%d dropped=%d applied=%d grants=%d denials=%d rate=%.0f/s\n",
 			r.Hub.SamplesEmitted, r.Hub.SamplesDelivered, r.Hub.SamplesDropped,
-			r.Hub.SteersApplied, r.Hub.FloorGrants, r.Hub.FloorDenials, r.Hub.SamplesPerSec)
+			r.Hub.SteersApplied, r.Hub.Floor.Grants, r.Hub.Floor.Denials, r.SamplesPerSec)
 		if r.Scenario.ObserverTier {
 			out += fmt.Sprintf("  tiers: steerers=%d observers=%d filtered=%d relayed=%d coalesced=%d\n",
 				r.Hub.TierSteerers, r.Hub.TierObservers, r.Hub.FramesFiltered,

@@ -79,6 +79,9 @@ func TestShortSoak(t *testing.T) {
 	if res.Hub.SamplesEmitted == 0 || res.Hub.SteersApplied == 0 {
 		t.Errorf("hub saw no traffic: %+v", res.Hub)
 	}
+	if res.SamplesPerSec <= 0 {
+		t.Errorf("emission rate = %v, want > 0", res.SamplesPerSec)
+	}
 }
 
 // TestResultJSONShape pins the benchcompare contract: the emitted document
