@@ -11,7 +11,6 @@
 //	       [-journal-dir DIR] [-journal-fsync]
 //	       [-floor-policy fifo|priority|steal] [-master-lease 10s]
 //	       [-fanout-workers 0] [-observer-interval 25ms]
-//	       [-tcp-nodelay] [-tcp-rcvbuf N] [-tcp-sndbuf N] [-tcp-keepalive 0]
 //
 // With the default -sessions 1 the daemon behaves exactly like the classic
 // single-session steerd: one session named "steerd-lb3d" that clients may
@@ -40,8 +39,8 @@
 // behind it reaches observers under the same limit (0 keeps the 25ms
 // default, negative flushes every frame).
 //
-// Socket tuning: -tcp-nodelay (on by default), -tcp-rcvbuf, -tcp-sndbuf
-// and -tcp-keepalive tune every accepted connection at birth.
+// Accepted connections keep Go's socket defaults: TCP_NODELAY on, 15s
+// keep-alive, buffers sized by the kernel.
 //
 // Then, e.g.:
 //
@@ -78,10 +77,6 @@ func main() {
 	masterLease := flag.Duration("master-lease", 10*time.Second, "master lease; a master silent this long loses the floor (0 disables)")
 	fanoutWorkers := flag.Int("fanout-workers", 0, "observer-tier relay workers per session (0 = auto, negative = 1)")
 	observerInterval := flag.Duration("observer-interval", 0, "longest unprompted spacing between observer flushes; steer-caused frames are not held (0 = default 25ms, negative = flush every frame)")
-	tcpNoDelay := flag.Bool("tcp-nodelay", true, "set TCP_NODELAY on accepted connections (false re-enables Nagle)")
-	tcpRcvBuf := flag.Int("tcp-rcvbuf", 0, "SO_RCVBUF for accepted connections in bytes (0 = OS default)")
-	tcpSndBuf := flag.Int("tcp-sndbuf", 0, "SO_SNDBUF for accepted connections in bytes (0 = OS default)")
-	tcpKeepAlive := flag.Duration("tcp-keepalive", 0, "TCP keep-alive probe period (0 = Go default 15s, negative disables)")
 	flag.Parse()
 	if *sessions < 1 {
 		log.Fatal("steerd: -sessions must be >= 1")
@@ -96,12 +91,6 @@ func main() {
 		SessionDefaults: core.SessionConfig{
 			FloorPolicy: floorPolicy, MasterLease: *masterLease,
 			FanoutWorkers: *fanoutWorkers, ObserverInterval: *observerInterval,
-		},
-		Sock: core.SockOpts{
-			Delay:     !*tcpNoDelay,
-			RcvBuf:    *tcpRcvBuf,
-			SndBuf:    *tcpSndBuf,
-			KeepAlive: *tcpKeepAlive,
 		},
 	})
 	defer h.Close()

@@ -66,9 +66,6 @@ func main() {
 	flag.IntVar(&sc.BurstChannels, "burst-channels", 2, "channels per emitted sample (≤16)")
 	flag.IntVar(&sc.BurstLen, "burst-len", 64, "floats per burst channel")
 	flag.IntVar(&sc.PayloadBytes, "payload-bytes", 0, "add one bulk channel of ~N bytes per sample (0 = off): the zero-copy writev egress workload")
-	tcpNoDelay := flag.Bool("tcp-nodelay", true, "set TCP_NODELAY on client (and in-process hub) conns; false re-enables Nagle")
-	flag.IntVar(&sc.TCPRcvBuf, "tcp-rcvbuf", 0, "SO_RCVBUF in bytes for client and in-process hub conns (0 = OS default)")
-	flag.IntVar(&sc.TCPSndBuf, "tcp-sndbuf", 0, "SO_SNDBUF in bytes for client and in-process hub conns (0 = OS default)")
 	flag.BoolVar(&sc.Churn, "churn", false, "cycle two clients per session through attach/detach (journal replay floods when -journal)")
 	flag.BoolVar(&sc.Floor, "floor", false, "run two floor contenders per session against the held floor")
 	flag.BoolVar(&sc.Journal, "journal", false, "journal in-process sessions in a temp dir (late joins replay history)")
@@ -85,7 +82,6 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 2.0, "regression factor tolerated vs -baseline (0 disables the gate)")
 	gate := flag.String("gate", "^Load(SteerObserve|SteerAck|FloorDeny)/p99$", "regexp selecting which bench keys the -baseline gate judges")
 	flag.Parse()
-	sc.TCPDelay = !*tcpNoDelay
 	if err := run(sc, *sessionNames, *out, *baseline, *maxRegress, *gate); err != nil {
 		fmt.Fprintf(os.Stderr, "steerload: %v\n", err)
 		os.Exit(1)

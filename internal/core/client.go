@@ -103,10 +103,6 @@ type AttachOptions struct {
 	// ReplayPolicy selects how much journal history to replay at attach:
 	// everything (the zero value), events only, or none.
 	ReplayPolicy ReplayPolicy
-	// Sock tunes the TCP connection Dial creates (TCP_NODELAY stays on by
-	// default; buffer sizes and keep-alive per SockOpts). Ignored by
-	// Attach/AttachContext, whose callers own the conn they pass in.
-	Sock SockOpts
 }
 
 // Attach performs the handshake without a context; a thin wrapper kept so
@@ -125,7 +121,6 @@ func Dial(ctx context.Context, addr string, opts AttachOptions) (*Client, error)
 	if err != nil {
 		return nil, err
 	}
-	opts.Sock.Apply(conn)
 	return AttachContext(ctx, conn, opts)
 }
 

@@ -437,10 +437,6 @@ func AcceptConn(conn net.Conn) (*PendingConn, error) {
 // SessionName returns the session the client asked for ("" = default).
 func (p *PendingConn) SessionName() string { return p.attach.Session }
 
-// SetSessionName rewrites the target session: a routing layer resolving an
-// empty name to its configured default.
-func (p *PendingConn) SetSessionName(name string) { p.attach.Session = name }
-
 // ClientName returns the client's requested name ("" = assign one).
 func (p *PendingConn) ClientName() string { return p.attach.Name }
 

@@ -3,7 +3,7 @@ package hub
 // End-to-end floor-control coverage over real TCP sockets: the
 // request/grant/deny/steal/lease-expiry scenarios of
 // internal/core/floor_test.go, re-run through the full production path —
-// Hub.Serve accept loop, handshake routing, shard dispatch, writer pools —
+// Hub.Serve accept loop, handshake routing, shard lookup, writer pools —
 // instead of net.Pipe. What these add over the core tests is the claim that
 // floor arbitration survives the hub's batched, pooled delivery machinery:
 // grants arrive as broadcasts drained by a shared writer pool, and denial

@@ -44,15 +44,16 @@ func attachFrame(t *testing.T, opts core.AttachOptions) []byte {
 }
 
 // TestClientCostsOneGoroutine bounds what an attached client costs its
-// session: its read loop, nothing more — the writers are a fixed pool per
-// session (bare) or per shard (hub), and a dead client's conn is closed by
-// whoever declares it dead, not by a watcher goroutine. The clients attach
+// session: its read loop, nothing more — in a hub the goroutine that read
+// the attach frame runs it; the writers are a fixed pool per session
+// (bare) or per shard (hub), and a dead client's conn is closed by whoever
+// declares it dead, not by a watcher goroutine. The clients attach
 // by hand from raw sockets, so every goroutine counted is the server's.
 func TestClientCostsOneGoroutine(t *testing.T) {
 	const (
 		clients = 32
 		writers = 4 // core's WriterPool shape
-		slack   = 8 // accept loops, listener and Done watchers, shard dispatch
+		slack   = 7 // accept loops, listener and Done watchers
 	)
 	// Unnamed: the session names each client, so one frame serves them all.
 	frame := attachFrame(t, core.AttachOptions{})

@@ -6,15 +6,16 @@
 // (section 3.3): participants dial one endpoint and name a session; the hub
 // routes, the session steers.
 //
-// Scale comes from sharding: the registry is split by consistent-hashing
-// session names onto N shards, each with its own lock, dispatch goroutine
-// and core.WriterPool, so traffic for sessions on different shards never
-// serialises on anything shared. A shard's sessions share its pool — the
-// same pool a bare core.Session starts for itself — which coalesces every
-// client's queued pre-encoded envelopes into batched writes and keeps
-// core's drop-on-slow-client policy: a stalled viewer loses frames, never
-// stalls a simulation and never holds a pool writer beyond one
-// ControlTimeout.
+// One goroutine carries a connection from accept to detach: it reads the
+// attach frame, finds the named session and runs the session's read loop.
+// The registry is split by a hash of the session name onto N shards, each
+// with its own lock and core.WriterPool, so traffic for sessions on
+// different shards never serialises on anything shared. A shard's sessions
+// share its pool — the same pool a bare core.Session starts for itself —
+// which coalesces every client's queued pre-encoded envelopes into batched
+// writes and keeps core's drop-on-slow-client policy: a stalled viewer
+// loses frames, never stalls a simulation and never holds a pool writer
+// beyond one ControlTimeout.
 package hub
 
 import (
@@ -47,19 +48,10 @@ type Config struct {
 	// at most MaxHandshakes × HandshakeTimeout of patience, never wedge the
 	// accept path, and a shed client gets a fast failure it can retry.
 	MaxHandshakes int
-	// DefaultSession serves clients that attach without naming a session
-	// (a single-session steerd's classic clients). "" rejects them unless
-	// SetDefaultSession is called (CreateSession sets it to the first
-	// session created).
-	DefaultSession string
-	// SessionDefaults seeds SampleQueue and ControlTimeout for sessions the
-	// hub creates.
+	// SessionDefaults seeds SampleQueue, ControlTimeout, FloorPolicy,
+	// MasterLease, FanoutWorkers and ObserverInterval for sessions the hub
+	// creates, wherever a session's own config leaves them unset.
 	SessionDefaults core.SessionConfig
-	// Sock tunes every connection the hub accepts, applied in Serve before
-	// the handshake: TCP_NODELAY stays on by default, with SO_RCVBUF /
-	// SO_SNDBUF and keep-alive knobs per core.SockOpts. The zero value
-	// changes nothing.
-	Sock core.SockOpts
 	// JournalDir, when non-empty, gives every session a durable on-disk
 	// journal under JournalDir/<session-name>: broadcasts are logged
 	// (encode-once — the journal stores the same bytes the clients get),
@@ -70,13 +62,6 @@ type Config struct {
 	// JournalFsync fsyncs each batched journal flush: durability over raw
 	// append throughput.
 	JournalFsync bool
-	// JournalSegmentBytes overrides the journal segment rotation
-	// threshold; 0 selects the journal package default (1 MiB).
-	JournalSegmentBytes int
-	// JournalFlushInterval bounds how long an appended frame may sit in a
-	// journal's write buffer before the shard's syncer flushes it; 0
-	// selects 2ms.
-	JournalFlushInterval time.Duration
 }
 
 func (c *Config) fill() {
@@ -118,7 +103,6 @@ type Stats struct {
 // Hub hosts many concurrent core.Sessions behind one listener.
 type Hub struct {
 	cfg    Config
-	ring   *ring
 	shards []*shard
 
 	defaultMu      sync.Mutex
@@ -128,8 +112,8 @@ type Hub struct {
 	closeCh   chan struct{}
 	closed    atomic.Bool
 
-	// hsSem holds one slot per connection currently in the handshake
-	// phase; Serve sheds connections when none is free.
+	// hsSem holds one slot per connection currently reading its attach
+	// frame; Serve sheds connections when none is free.
 	hsSem              chan struct{}
 	statConnsAccepted  atomic.Uint64
 	statConnsShed      atomic.Uint64
@@ -140,23 +124,26 @@ type Hub struct {
 func New(cfg Config) *Hub {
 	cfg.fill()
 	h := &Hub{
-		cfg:            cfg,
-		ring:           newRing(cfg.Shards),
-		shards:         make([]*shard, cfg.Shards),
-		defaultSession: cfg.DefaultSession,
-		closeCh:        make(chan struct{}),
-		hsSem:          make(chan struct{}, cfg.MaxHandshakes),
+		cfg:     cfg,
+		shards:  make([]*shard, cfg.Shards),
+		closeCh: make(chan struct{}),
+		hsSem:   make(chan struct{}, cfg.MaxHandshakes),
 	}
 	for i := range h.shards {
-		h.shards[i] = newShard(i, cfg)
+		h.shards[i] = newShard(cfg.JournalDir != "")
 	}
 	return h
 }
 
 // ShardOf returns the shard index a session name routes to. It is a pure
-// function of the name and the hub's shard count (consistent hashing), so
-// tests and operators can verify routing stability.
-func (h *Hub) ShardOf(name string) int { return h.ring.lookup(name) }
+// function of the name and the hub's shard count, so tests and operators
+// can verify routing stability. The shard count is fixed for the hub's
+// life and nothing persisted depends on placement (journal directories are
+// keyed by name), so a plain modulo serves.
+func (h *Hub) ShardOf(name string) int { return int(hash64(name) % uint64(len(h.shards))) }
+
+// homeShard returns the shard that registers and serves name.
+func (h *Hub) homeShard(name string) *shard { return h.shards[h.ShardOf(name)] }
 
 // CreateSession creates and registers a session on its home shard. The
 // session's queues are drained by the shard's writer pool, which replaces
@@ -200,7 +187,7 @@ func (h *Hub) CreateSession(cfg core.SessionConfig) (*core.Session, error) {
 	if cfg.ObserverInterval == 0 {
 		cfg.ObserverInterval = h.cfg.SessionDefaults.ObserverInterval
 	}
-	sh := h.shards[h.ring.lookup(cfg.Name)]
+	sh := h.homeShard(cfg.Name)
 	// Reserve the name before touching any journal directory: a duplicate
 	// create must fail here, never run recovery (and its torn-tail
 	// truncation) on a live session's log.
@@ -211,9 +198,8 @@ func (h *Hub) CreateSession(cfg core.SessionConfig) (*core.Session, error) {
 	if h.cfg.JournalDir != "" && cfg.Journal == nil {
 		var err error
 		jnl, err = journal.Open(journal.Options{
-			Dir:          filepath.Join(h.cfg.JournalDir, sessionDirName(cfg.Name)),
-			SegmentBytes: h.cfg.JournalSegmentBytes,
-			Fsync:        h.cfg.JournalFsync,
+			Dir:   filepath.Join(h.cfg.JournalDir, sessionDirName(cfg.Name)),
+			Fsync: h.cfg.JournalFsync,
 		})
 		if err != nil {
 			sh.unreserve(cfg.Name)
@@ -280,7 +266,7 @@ func sessionDirName(name string) string {
 
 // Lookup returns the registered session with the given name.
 func (h *Hub) Lookup(name string) (*core.Session, bool) {
-	return h.shards[h.ring.lookup(name)].lookup(name)
+	return h.homeShard(name).lookup(name)
 }
 
 // Evict closes and unregisters a session, detaching its clients. It reports
@@ -292,7 +278,7 @@ func (h *Hub) Lookup(name string) (*core.Session, bool) {
 // alongside the dying writer. (An app still emitting after the close
 // reaches neither clients nor the journal: consistent, by construction.)
 func (h *Hub) Evict(name string) bool {
-	sh := h.shards[h.ring.lookup(name)]
+	sh := h.homeShard(name)
 	e := sh.entry(name)
 	if e == nil {
 		return false
@@ -330,11 +316,13 @@ func (h *Hub) SessionNames() []string {
 }
 
 // Serve accepts connections from l until the hub closes or the listener
-// fails permanently. Each connection's attach frame is read on its own
-// goroutine under HandshakeTimeout (a stalled handshake never blocks the
-// accept loop), with at most Config.MaxHandshakes connections in that phase
-// at once — excess connections are shed with an immediate close, so a flood
-// of silent or hostile dialers cannot wedge a shard or exhaust goroutines.
+// fails permanently. Each connection gets one goroutine, which reads its
+// attach frame under HandshakeTimeout (a stalled handshake never blocks the
+// accept loop) and then serves it until it detaches. At most
+// Config.MaxHandshakes connections read their attach frame at once —
+// excess connections are shed with an immediate close, so a flood of
+// silent or hostile dialers cannot exhaust goroutines — and a served
+// connection holds no slot.
 // Transient accept errors (EMFILE, aborted connections) back off
 // exponentially instead of killing the listener.
 func (h *Hub) Serve(l net.Listener) error {
@@ -365,10 +353,6 @@ func (h *Hub) Serve(l net.Listener) error {
 		}
 		backoff = backoffMin
 		h.statConnsAccepted.Add(1)
-		// Socket tuning happens where the conn is born, before any
-		// handshake byte moves: NODELAY (default), buffer sizes,
-		// keep-alive. Non-TCP listeners (tests over pipes) are untouched.
-		h.cfg.Sock.Apply(conn)
 		select {
 		case h.hsSem <- struct{}{}:
 		default:
@@ -379,10 +363,7 @@ func (h *Hub) Serve(l net.Listener) error {
 			conn.Close()
 			continue
 		}
-		go func() {
-			defer func() { <-h.hsSem }()
-			h.route(conn)
-		}()
+		go h.route(conn)
 	}
 }
 
@@ -395,11 +376,12 @@ func isTemporary(err error) bool {
 	return errors.As(err, &te) && te.Temporary()
 }
 
-// route reads the attach frame and hands the pending connection to the home
-// shard's dispatch queue.
+// route reads the attach frame, frees the connection's handshake slot and
+// serves the connection on the calling goroutine until it detaches.
 func (h *Hub) route(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(h.cfg.HandshakeTimeout))
 	pc, err := core.AcceptConn(conn)
+	<-h.hsSem
 	if err != nil {
 		h.statHandshakeFails.Add(1)
 		return // AcceptConn closed the conn
@@ -415,20 +397,15 @@ func (h *Hub) route(conn net.Conn) {
 			pc.Reject("hub: no session named and no default configured")
 			return
 		}
-		pc.SetSessionName(name)
 	}
-	sh := h.shards[h.ring.lookup(name)]
-	select {
-	case <-h.closeCh: // closed hub: don't race the buffered send
-		pc.Reject("hub: shutting down")
+	// A closed session — evicted, or swept by Close — rejects the attach
+	// itself, however late it closes: the connection is always answered.
+	sess, ok := h.homeShard(name).lookup(name)
+	if !ok {
+		pc.Reject(fmt.Sprintf("hub: no session %q", name))
 		return
-	default:
 	}
-	select {
-	case sh.conns <- pc:
-	case <-h.closeCh:
-		pc.Reject("hub: shutting down")
-	}
+	sess.ServePending(pc)
 }
 
 // Stats sums the counters of every hosted session. It only reads: calling

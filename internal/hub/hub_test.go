@@ -59,9 +59,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestRoutingStability pins the consistent-hash routing: a session name maps
-// to one shard, the same shard every time and in every goroutine, and the
-// spread over shards is not degenerate.
+// TestRoutingStability pins stable, non-degenerate routing: a session name
+// maps to one shard, the same shard every time, in every goroutine and in
+// every hub with the same shard count, and the spread over shards leaves
+// none empty.
 func TestRoutingStability(t *testing.T) {
 	h := New(Config{Shards: 8})
 	defer h.Close()
@@ -91,7 +92,7 @@ func TestRoutingStability(t *testing.T) {
 	}
 	for s := 0; s < 8; s++ {
 		if perShard[s] == 0 {
-			t.Fatalf("shard %d received no sessions out of 256: degenerate ring %v", s, perShard)
+			t.Fatalf("shard %d received no sessions out of 256: degenerate spread %v", s, perShard)
 		}
 	}
 
@@ -102,7 +103,7 @@ func TestRoutingStability(t *testing.T) {
 	}
 	sh := h.shards[h.ShardOf("pinned")]
 	if got, ok := sh.lookup("pinned"); !ok || got != sess {
-		t.Fatal("session not registered on its ring shard")
+		t.Fatal("session not registered on its computed shard")
 	}
 }
 

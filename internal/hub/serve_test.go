@@ -2,7 +2,10 @@ package hub
 
 import (
 	"errors"
+	"io"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -80,6 +83,95 @@ func TestSilentDialerCannotWedgeShard(t *testing.T) {
 	st := h.Stats()
 	if st.ConnsAccepted == 0 || st.ConnsShed == 0 {
 		t.Fatalf("accept-path counters flat: %+v", st)
+	}
+}
+
+// TestServedClientHoldsNoHandshakeSlot pins where the handshake slot is
+// freed: right after the attach frame is read, before the connection is
+// served. A served client that kept its slot would shed every client past
+// the first MaxHandshakes.
+func TestServedClientHoldsNoHandshakeSlot(t *testing.T) {
+	h, addr := testHub(t, Config{Shards: 1, MaxHandshakes: 2})
+	sess, err := h.CreateSession(core.SessionConfig{Name: "slots"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := attachFrame(t, core.AttachOptions{})
+	for i := 0; i < 9; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != nil {
+			t.Fatalf("client %d welcome: %v (shed %d)", i, err, h.Stats().ConnsShed)
+		}
+	}
+	waitFor(t, "every client admitted", func() bool { return sess.ClientCount() == 9 })
+	if shed := h.Stats().ConnsShed; shed != 0 {
+		t.Fatalf("%d connections shed with 9 clients served one at a time, want 0", shed)
+	}
+}
+
+// TestAttachRacingHubClose attaches clients while the hub shuts down: every
+// connection must be answered — welcomed, rejected or closed — and none
+// left open with nobody serving it.
+func TestAttachRacingHubClose(t *testing.T) {
+	const (
+		iterations = 200
+		attaches   = 8
+	)
+	frame := attachFrame(t, core.AttachOptions{})
+	for it := 0; it < iterations; it++ {
+		h := New(Config{Shards: 2})
+		if _, err := h.CreateSession(core.SessionConfig{Name: "closing"}); err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go h.Serve(l)
+
+		start := make(chan struct{})
+		errs := make(chan error, attaches)
+		var wg sync.WaitGroup
+		for i := 0; i < attaches; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				conn, err := net.Dial("tcp", l.Addr().String())
+				if err != nil {
+					return // the listener is already closed
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(time.Second))
+				if _, err := conn.Write(frame); err != nil {
+					return // reset by the closing listener
+				}
+				// Read to the end: a welcome or reject, then the close.
+				if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+					errs <- err
+				}
+			}()
+		}
+		close(start)
+		// Close after a varying number of accepts, so the race point
+		// walks from the listener through the handshake to the serve.
+		for wait := time.Now().Add(time.Second); h.statConnsAccepted.Load() < uint64(it%(attaches+1)) && time.Now().Before(wait); {
+			runtime.Gosched()
+		}
+		h.Close()
+		wg.Wait()
+		close(errs)
+		if n := len(errs); n > 0 {
+			t.Fatalf("iteration %d: %d of %d attaches racing Close got no answer within 1s", it, n, attaches)
+		}
 	}
 }
 

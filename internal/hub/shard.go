@@ -2,6 +2,7 @@ package hub
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 
 	"repro/internal/core"
@@ -9,23 +10,17 @@ import (
 )
 
 // shard owns a disjoint subset of the hub's sessions: its own registry map
-// under its own lock, its own dispatch goroutine binding routed connections
-// to sessions, its own writer pool draining those sessions' clients, and —
-// when journaling is on — its own journal syncer batching flush/fsync for
-// those sessions' logs. Sessions on different shards therefore never
-// contend on a shared lock, a shared dispatch queue, a shared writer or a
-// shared fsync.
+// under its own lock, its own writer pool draining those sessions' clients,
+// and — when journaling is on — its own journal syncer batching
+// flush/fsync for those sessions' logs. Sessions on different shards
+// therefore never contend on a shared lock, a shared writer or a shared
+// fsync.
 type shard struct {
-	id     int
 	pool   *core.WriterPool
 	syncer *journal.Syncer // nil when journaling is off
 
 	mu       sync.Mutex
 	sessions map[string]*sessionEntry
-
-	conns   chan *core.PendingConn
-	closeCh chan struct{}
-	wg      sync.WaitGroup
 }
 
 // sessionEntry pairs a session with its journal (nil when journaling is
@@ -43,52 +38,31 @@ type sessionEntry struct {
 	gone chan struct{}
 }
 
-func newShard(id int, cfg Config) *shard {
+func newShard(journaled bool) *shard {
 	sh := &shard{
-		id:       id,
 		pool:     core.NewWriterPool(),
 		sessions: make(map[string]*sessionEntry),
-		conns:    make(chan *core.PendingConn, 64),
-		closeCh:  make(chan struct{}),
 	}
-	if cfg.JournalDir != "" {
-		sh.syncer = journal.NewSyncer(cfg.JournalFlushInterval)
+	if journaled {
+		sh.syncer = journal.NewSyncer(0)
 	}
-	sh.wg.Add(1)
-	go sh.dispatch()
 	return sh
 }
 
-// dispatch binds routed connections to this shard's sessions. Lookup runs
-// under the shard lock only; serving runs on a per-connection goroutine as
-// in core.Session.Serve.
-func (sh *shard) dispatch() {
-	defer sh.wg.Done()
-	for {
-		select {
-		case pc := <-sh.conns:
-			name := pc.SessionName()
-			sh.mu.Lock()
-			e := sh.sessions[name]
-			sh.mu.Unlock()
-			if e == nil || e.sess == nil {
-				pc.Reject(fmt.Sprintf("hub: no session %q", name))
-				continue
-			}
-			go e.sess.ServePending(pc)
-		case <-sh.closeCh:
-			// Reject connections still buffered (or racing in) so their
-			// clients get an error now instead of a dangling socket.
-			for {
-				select {
-				case pc := <-sh.conns:
-					pc.Reject("hub: shutting down")
-				default:
-					return
-				}
-			}
-		}
-	}
+// hash64 spreads session names over the shards: FNV-1a, then the
+// MurmurHash3 finaliser. FNV-1a's low bits depend only on the low bits of
+// the name's bytes, so a modulo over a few shards would see little of the
+// name; the finaliser folds the high bits down.
+func hash64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // reserve claims a name before its session (and journal) exist; duplicate
@@ -123,7 +97,7 @@ func (sh *shard) unreserve(name string) {
 // re-create must not remove the newcomer) and reports whether it did. The
 // entry is downgraded to a reservation while the journal handle closes
 // OUTSIDE the shard lock — the name stays claimed, so a revival can never
-// open the directory alongside the flushing writer, but dispatch, lookup
+// open the directory alongside the flushing writer, but attaches, lookups
 // and creates for the shard's other sessions proceed during the flush.
 // Callers must only invoke remove once the session is closed, or its final
 // broadcasts would miss the journal.
@@ -180,8 +154,6 @@ func (sh *shard) snapshot() []*sessionEntry {
 }
 
 func (sh *shard) close() {
-	close(sh.closeCh)
-	sh.wg.Wait()
 	entries := sh.snapshot()
 	for _, e := range entries {
 		e.sess.Close()

@@ -97,7 +97,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 				FanoutWorkers:    sc.FanoutWorkers,
 				ObserverInterval: sc.ObserverInterval,
 			},
-			Sock: sc.sockOpts(),
 		})
 		defer h.Close()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -323,23 +322,12 @@ func (r *runner) echoApp(sess *core.Session, stop <-chan struct{}) {
 	}
 }
 
-// dialAttach dials the target and performs the attach handshake under ctx.
-func (r *runner) dialAttach(ctx context.Context, opts core.AttachOptions) (*core.Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", r.addr)
-	if err != nil {
-		return nil, err
-	}
-	r.sc.sockOpts().Apply(conn)
-	return core.AttachContext(ctx, conn, opts)
-}
-
-// attachCounted wraps dialAttach with the attach histogram and counters.
+// attachCounted wraps core.Dial with the attach histogram and counters.
 // Late-run failures caused purely by the scenario deadline are not counted
 // as errors.
 func (r *runner) attachCounted(ctx context.Context, opts core.AttachOptions) (*core.Client, error) {
 	t0 := time.Now()
-	c, err := r.dialAttach(ctx, opts)
+	c, err := core.Dial(ctx, r.addr, opts)
 	if err != nil {
 		if ctx.Err() == nil && !deadlineTimeout(ctx, err) {
 			r.ct.attachErrs.Add(1)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/hub"
 )
 
@@ -85,14 +84,6 @@ type Scenario struct {
 	// FanoutWorkers sizes the in-process sessions' relay pool (0 = auto).
 	FanoutWorkers int `json:"fanout_workers,omitempty"`
 
-	// TCPDelay re-enables Nagle's algorithm on the fleet's client conns
-	// and (in-process mode) the hub's accepted conns; the default keeps
-	// TCP_NODELAY on. TCPRcvBuf/TCPSndBuf set SO_RCVBUF/SO_SNDBUF in
-	// bytes when positive, both sides in in-process mode.
-	TCPDelay  bool `json:"tcp_delay,omitempty"`
-	TCPRcvBuf int  `json:"tcp_rcvbuf,omitempty"`
-	TCPSndBuf int  `json:"tcp_sndbuf,omitempty"`
-
 	// Journal gives in-process sessions durable journals in a temp
 	// directory, so churn exercises replay catch-up. Ignored in remote
 	// mode (the target's configuration decides).
@@ -150,12 +141,6 @@ func (sc *Scenario) fill() {
 		sc.Param = "miscibility-g"
 		sc.ParamMin, sc.ParamMax = 0, 6
 	}
-}
-
-// sockOpts maps the scenario's TCP knobs onto core.SockOpts, applied to the
-// fleet's dialed conns and (in-process mode) the hub's accepted conns.
-func (sc *Scenario) sockOpts() core.SockOpts {
-	return core.SockOpts{Delay: sc.TCPDelay, RcvBuf: sc.TCPRcvBuf, SndBuf: sc.TCPSndBuf}
 }
 
 // Counters are the run's cumulative event counts, separate from the latency
