@@ -72,14 +72,14 @@ test-framedebug:
 	$(GO) test -race -tags framedebug ./internal/core ./internal/hub ./internal/journal \
 		./internal/pixel ./internal/vnc ./internal/vizserver
 
-# loc prints non-test Go line counts for internal/core, internal/hub and the
-# module outside bench/ (its own module), so a change that collapses code
-# reports one reproducible delta.
+# loc prints non-test Go line counts for internal/core, internal/hub,
+# internal/sim/pepc (the benchmark's app) and the module outside bench/ (its
+# own module), so a change that collapses code reports one reproducible delta.
 loc:
-	@for d in internal/core internal/hub; do \
-		printf '%-16s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	@for d in internal/core internal/hub internal/sim/pepc; do \
+		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
-	@printf '%-16s %6d\n' 'repo w/o bench' \
+	@printf '%-18s %6d\n' 'repo w/o bench' \
 		$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 bench:
@@ -140,6 +140,9 @@ bench-smoke:
 	@out=$$($(GO) test -run '^$$' -list 'BenchmarkTileCodec' ./internal/pixel); \
 	echo "$$out" | grep -q BenchmarkTileCodec \
 		|| { echo 'bench-smoke: pixel tile codec benchmark missing'; exit 1; }
+	@out=$$($(GO) test -run '^$$' -list 'BenchmarkStep' ./internal/sim/pepc); \
+	echo "$$out" | grep -q 'BenchmarkStep$$' \
+		|| { echo 'bench-smoke: pepc step benchmark missing'; exit 1; }
 
 # bench-compare re-measures the benchmarks recorded in the committed
 # baselines and prints benchstat-style delta tables (cmd/benchcompare is

@@ -136,14 +136,15 @@ func (s *Sim) ElectricFieldMagnitude(mesh MeshSpec, theta float64) (*viz.ScalarF
 	if len(s.pos) == 0 {
 		return f, nil
 	}
-	root := buildTree(s.pos, s.charge)
+	var t tree
+	t.build(s.pos, s.charge)
 	eps2 := s.p.Eps * s.p.Eps
 	idx := 0
 	for k := 0; k < mesh.Nz; k++ {
 		for j := 0; j < mesh.Ny; j++ {
 			for i := 0; i < mesh.Nx; i++ {
 				x, y, z := f.WorldPos(i, j, k)
-				e := root.forceAt(s.pos, s.charge, Vec{x, y, z}, -1, theta, eps2, nil)
+				e := t.forceAt(0, Vec{x, y, z}, -1, theta, eps2, nil)
 				f.Data[idx] = e.Len()
 				idx++
 			}
@@ -162,14 +163,15 @@ func (s *Sim) Potential(mesh MeshSpec, theta float64) (*viz.ScalarField, error) 
 	if len(s.pos) == 0 {
 		return f, nil
 	}
-	root := buildTree(s.pos, s.charge)
+	var t tree
+	t.build(s.pos, s.charge)
 	eps2 := s.p.Eps * s.p.Eps
 	idx := 0
 	for k := 0; k < mesh.Nz; k++ {
 		for j := 0; j < mesh.Ny; j++ {
 			for i := 0; i < mesh.Nx; i++ {
 				x, y, z := f.WorldPos(i, j, k)
-				f.Data[idx] = root.potentialAt(s.pos, s.charge, Vec{x, y, z}, -1, theta, eps2)
+				f.Data[idx] = t.potentialAt(0, Vec{x, y, z}, -1, theta, eps2)
 				idx++
 			}
 		}

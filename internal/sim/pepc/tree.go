@@ -32,26 +32,39 @@ func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 // Len returns |v|.
 func (v Vec) Len() float64 { return math.Sqrt(v.Dot(v)) }
 
-// node is one octree cell.
+// node is one octree cell. Nodes live in a tree's flat slice and name their
+// children by index; index 0 is the root, so a zero child means none.
 type node struct {
-	center   Vec     // geometric centre of the cell
+	// What every visit of the force walk reads comes first, so a visit
+	// touches as few cache lines as it can; the multipole data is about com.
+	com      Vec     // |q|-weighted centroid: stable expansion centre for mixed signs
 	half     float64 // half edge length
-	children [8]*node
+	q        float64 // monopole: total charge
+	dipole   Vec     // dipole moment about com
+	children [8]int32
+	head     int32 // a leaf's first particle, in insertion order; -1 if none
 	leaf     bool
-	// particle indices stored in a leaf
-	idx []int32
-	// multipole data (about com)
-	com    Vec     // |q|-weighted centroid: stable expansion centre for mixed signs
-	q      float64 // monopole: total charge
-	dipole Vec     // dipole moment about com
-	count  int
+	// Read only while building.
+	tail   int32   // a leaf's last particle
+	count  int32   // particles in the leaf's chain
+	center Vec     // geometric centre of the cell
+	absQ   float64 // total |q|: com's weight in the parent's centroid
 }
 
-// leafCap is the maximum number of particles stored in a leaf cell.
+// leafCap is the number of particles a leaf holds before it splits; a leaf
+// whose half edge is below 1e-9 stops splitting and holds any number.
 const leafCap = 8
 
-// buildTree constructs the octree over all particles.
-func buildTree(pos []Vec, charge []float64) *node {
+// tree is a Barnes–Hut octree whose storage is reused by every rebuild.
+type tree struct {
+	nodes  []node
+	next   []int32 // next[i]: particle after i in its leaf's chain, or -1
+	pos    []Vec   // the particles the tree was last built over
+	charge []float64
+}
+
+// build rebuilds the octree over all particles, reusing the tree's storage.
+func (t *tree) build(pos []Vec, charge []float64) {
 	// Bounding cube.
 	lo := pos[0]
 	hi := pos[0]
@@ -66,12 +79,21 @@ func buildTree(pos []Vec, charge []float64) *node {
 	c := lo.Add(hi).Scale(0.5)
 	half := math.Max(hi.X-lo.X, math.Max(hi.Y-lo.Y, hi.Z-lo.Z))/2 + 1e-9
 
-	root := &node{center: c, half: half, leaf: true}
-	for i := range pos {
-		root.insert(pos, int32(i))
+	if cap(t.next) < len(pos) {
+		t.next = make([]int32, len(pos))
 	}
-	root.computeMoments(pos, charge)
-	return root
+	t.next = t.next[:len(pos)]
+	t.pos, t.charge = pos, charge
+	t.nodes = append(t.nodes[:0], newNode(c, half))
+	for i := range pos {
+		t.insert(0, int32(i))
+	}
+	t.computeMoments(0)
+}
+
+// newNode returns an empty leaf cell.
+func newNode(center Vec, half float64) node {
+	return node{center: center, half: half, leaf: true, head: -1, tail: -1}
 }
 
 // octant returns which child cell position p falls into.
@@ -111,133 +133,138 @@ func (n *node) childCenter(o int) Vec {
 	return c
 }
 
-// insert adds particle i to the subtree.
-func (n *node) insert(pos []Vec, i int32) {
-	if n.leaf {
-		if len(n.idx) < leafCap || n.half < 1e-9 {
-			n.idx = append(n.idx, i)
+// insert adds particle i to the subtree at node n. It holds no *node across
+// a child's creation, which may move t.nodes.
+func (t *tree) insert(n, i int32) {
+	nd := &t.nodes[n]
+	if nd.leaf {
+		if nd.count < leafCap || nd.half < 1e-9 {
+			t.next[i] = -1
+			if nd.head < 0 {
+				nd.head = i
+			} else {
+				t.next[nd.tail] = i
+			}
+			nd.tail = i
+			nd.count++
 			return
 		}
-		// Split: push existing particles down.
-		n.leaf = false
-		old := n.idx
-		n.idx = nil
-		for _, j := range old {
-			n.insertChild(pos, j)
+		// Split: push existing particles down, in chain order.
+		nd.leaf = false
+		j := nd.head
+		nd.head, nd.tail, nd.count = -1, -1, 0
+		for j >= 0 {
+			after := t.next[j]
+			t.insert(t.child(n, j), j)
+			j = after
 		}
 	}
-	n.insertChild(pos, i)
+	t.insert(t.child(n, i), i)
 }
 
-func (n *node) insertChild(pos []Vec, i int32) {
-	o := n.octant(pos[i])
-	if n.children[o] == nil {
-		n.children[o] = &node{center: n.childCenter(o), half: n.half / 2, leaf: true}
+// child returns the child of n that particle i falls into, creating it.
+func (t *tree) child(n, i int32) int32 {
+	nd := &t.nodes[n]
+	o := nd.octant(t.pos[i])
+	if c := nd.children[o]; c != 0 {
+		return c
 	}
-	n.children[o].insert(pos, i)
+	c := int32(len(t.nodes))
+	nd.children[o] = c
+	child := newNode(nd.childCenter(o), nd.half/2)
+	t.nodes = append(t.nodes, child)
+	return c
 }
 
-// computeMoments fills q, com and dipole bottom-up.
-func (n *node) computeMoments(pos []Vec, charge []float64) {
-	var absQ float64
-	if n.leaf {
-		for _, i := range n.idx {
+// computeMoments fills q, absQ, com and dipole bottom-up.
+func (t *tree) computeMoments(n int32) {
+	nd := &t.nodes[n]
+	pos, charge := t.pos, t.charge
+	if nd.leaf {
+		for i := nd.head; i >= 0; i = t.next[i] {
 			q := charge[i]
-			n.q += q
+			nd.q += q
 			a := math.Abs(q)
-			absQ += a
-			n.com = n.com.Add(pos[i].Scale(a))
-			n.count++
+			nd.absQ += a
+			nd.com = nd.com.Add(pos[i].Scale(a))
 		}
 	} else {
-		for _, c := range n.children {
-			if c == nil {
+		for _, ci := range nd.children {
+			if ci == 0 {
 				continue
 			}
-			c.computeMoments(pos, charge)
-			n.q += c.q
+			t.computeMoments(ci)
+			c := &t.nodes[ci]
+			nd.q += c.q
 			// Recombine |q|-weighted centroids using child absolute charge.
-			ca := c.absCharge(pos, charge)
-			absQ += ca
-			n.com = n.com.Add(c.com.Scale(ca))
-			n.count += c.count
+			nd.absQ += c.absQ
+			nd.com = nd.com.Add(c.com.Scale(c.absQ))
 		}
 	}
-	if absQ > 0 {
-		n.com = n.com.Scale(1 / absQ)
+	if nd.absQ > 0 {
+		nd.com = nd.com.Scale(1 / nd.absQ)
 	} else {
-		n.com = n.center
+		nd.com = nd.center
 	}
 	// Dipole about com.
-	if n.leaf {
-		for _, i := range n.idx {
-			n.dipole = n.dipole.Add(pos[i].Sub(n.com).Scale(charge[i]))
+	if nd.leaf {
+		for i := nd.head; i >= 0; i = t.next[i] {
+			nd.dipole = nd.dipole.Add(pos[i].Sub(nd.com).Scale(charge[i]))
 		}
 	} else {
-		for _, c := range n.children {
-			if c == nil {
+		for _, ci := range nd.children {
+			if ci == 0 {
 				continue
 			}
+			c := &t.nodes[ci]
 			// Child dipole shifted to this com: D' = D + q_c (com_c - com).
-			n.dipole = n.dipole.Add(c.dipole).Add(c.com.Sub(n.com).Scale(c.q))
+			nd.dipole = nd.dipole.Add(c.dipole).Add(c.com.Sub(nd.com).Scale(c.q))
 		}
 	}
-}
-
-// absCharge returns the total |q| in the subtree. Leaves recompute from the
-// particle list; internal nodes sum children. Used only during moment
-// construction (O(N log N) total).
-func (n *node) absCharge(pos []Vec, charge []float64) float64 {
-	var a float64
-	if n.leaf {
-		for _, i := range n.idx {
-			a += math.Abs(charge[i])
-		}
-		return a
-	}
-	for _, c := range n.children {
-		if c != nil {
-			a += c.absCharge(pos, charge)
-		}
-	}
-	return a
 }
 
 // forceAt computes the electric field at position p (belonging to particle
-// self, which is excluded from direct sums), using the multipole acceptance
-// criterion size/distance < theta. stats, when non-nil, counts interactions.
-func (n *node) forceAt(pos []Vec, charge []float64, p Vec, self int32, theta, eps2 float64, stats *int64) Vec {
-	r := p.Sub(n.com)
+// self, which is excluded from direct sums) from the subtree at node n, using
+// the multipole acceptance criterion size/distance < theta. stats, when
+// non-nil, counts interactions.
+func (t *tree) forceAt(n int32, p Vec, self int32, theta, eps2 float64, stats *int64) Vec {
+	nd := &t.nodes[n]
+	r := p.Sub(nd.com)
 	d2 := r.Dot(r)
-	size := 2 * n.half
+	size := 2 * nd.half
 
-	if !n.leaf && size*size < theta*theta*d2 {
+	if !nd.leaf && size*size < theta*theta*d2 {
 		// Well separated: monopole + dipole approximation.
 		if stats != nil {
 			*stats++
 		}
-		return fieldMonoDipole(r, d2+eps2, n.q, n.dipole)
+		return fieldMonoDipole(r, d2+eps2, nd.q, nd.dipole)
 	}
-	if n.leaf {
+	if nd.leaf {
+		// The slices and the count stay in locals: a store through stats
+		// inside the loop would make every particle reload them.
 		var e Vec
-		for _, i := range n.idx {
+		var direct int64
+		next, pos, charge := t.next, t.pos, t.charge
+		for i := nd.head; i >= 0; i = next[i] {
 			if i == self {
 				continue
 			}
-			if stats != nil {
-				*stats++
-			}
+			direct++
 			ri := p.Sub(pos[i])
 			di2 := ri.Dot(ri) + eps2
 			inv := 1 / (di2 * math.Sqrt(di2))
 			e = e.Add(ri.Scale(charge[i] * inv))
 		}
+		if stats != nil {
+			*stats += direct
+		}
 		return e
 	}
 	var e Vec
-	for _, c := range n.children {
-		if c != nil {
-			e = e.Add(c.forceAt(pos, charge, p, self, theta, eps2, stats))
+	for _, c := range nd.children {
+		if c != 0 {
+			e = e.Add(t.forceAt(c, p, self, theta, eps2, stats))
 		}
 	}
 	return e
@@ -255,18 +282,21 @@ func fieldMonoDipole(r Vec, d2, q float64, d Vec) Vec {
 	return e
 }
 
-// potentialAt evaluates the potential at p with the same acceptance rule.
-func (n *node) potentialAt(pos []Vec, charge []float64, p Vec, self int32, theta, eps2 float64) float64 {
-	r := p.Sub(n.com)
+// potentialAt evaluates the potential at p from the subtree at node n with
+// the same acceptance rule.
+func (t *tree) potentialAt(n int32, p Vec, self int32, theta, eps2 float64) float64 {
+	nd := &t.nodes[n]
+	r := p.Sub(nd.com)
 	d2 := r.Dot(r)
-	size := 2 * n.half
-	if !n.leaf && size*size < theta*theta*d2 {
+	size := 2 * nd.half
+	if !nd.leaf && size*size < theta*theta*d2 {
 		d := math.Sqrt(d2 + eps2)
-		return n.q/d + n.dipole.Dot(r)/(d*d*d)
+		return nd.q/d + nd.dipole.Dot(r)/(d*d*d)
 	}
-	if n.leaf {
+	if nd.leaf {
 		var phi float64
-		for _, i := range n.idx {
+		next, pos, charge := t.next, t.pos, t.charge
+		for i := nd.head; i >= 0; i = next[i] {
 			if i == self {
 				continue
 			}
@@ -276,9 +306,9 @@ func (n *node) potentialAt(pos []Vec, charge []float64, p Vec, self int32, theta
 		return phi
 	}
 	var phi float64
-	for _, c := range n.children {
-		if c != nil {
-			phi += c.potentialAt(pos, charge, p, self, theta, eps2)
+	for _, c := range nd.children {
+		if c != 0 {
+			phi += t.potentialAt(c, p, self, theta, eps2)
 		}
 	}
 	return phi
