@@ -177,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeRoundTrip -fuzztime $(FUZZTIME) ./internal/core || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeStream -fuzztime $(FUZZTIME) ./internal/core || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzFloorFrames -fuzztime $(FUZZTIME) ./internal/core || status=1; \
+	$(GO) test -run '^$$' -fuzz FuzzFloorModel -fuzztime $(FUZZTIME) ./internal/core || status=1; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTiles -fuzztime $(FUZZTIME) ./internal/pixel || status=1; \
 	exit $$status
 

@@ -354,23 +354,20 @@ func (c *Client) ObserverInterval() time.Duration {
 // Unknown parameter names are rejected with ErrUnknownParam; channel names
 // are not validated (channels are whatever the application emits).
 func (c *Client) Subscribe(ctx context.Context, subs ...Subscription) error {
-	_, err := c.requestAckCtx(ctx, &envelope{Type: msgSubscribe, Subs: subs})
-	return err
+	return c.requestCtx(ctx, &envelope{Type: msgSubscribe, Subs: subs})
 }
 
 // Unsubscribe removes selectors from the interest set. Removing from a
 // kind still at subscribe-all is a no-op; with no selectors at all it
 // clears both kinds to interested-in-nothing.
 func (c *Client) Unsubscribe(ctx context.Context, subs ...Subscription) error {
-	_, err := c.requestAckCtx(ctx, &envelope{Type: msgUnsubscribe, Subs: subs})
-	return err
+	return c.requestCtx(ctx, &envelope{Type: msgUnsubscribe, Subs: subs})
 }
 
 // SubscribeAll resets the interest set to subscribe-all for both kinds,
 // undoing every narrowing Subscribe.
 func (c *Client) SubscribeAll(ctx context.Context) error {
-	_, err := c.requestAckCtx(ctx, &envelope{Type: msgSubscribe, SubAll: true})
-	return err
+	return c.requestCtx(ctx, &envelope{Type: msgSubscribe, SubAll: true})
 }
 
 // Params returns the last known parameter table.
@@ -519,27 +516,20 @@ func (c *Client) readLoop() {
 	}
 }
 
-// request performs a synchronous request/ack exchange.
+// request is requestCtx bounded by timeout; a timeout <= 0 means 5 s.
 func (c *Client) request(e *envelope, timeout time.Duration) error {
-	_, err := c.requestAck(e, timeout)
-	return err
-}
-
-// requestAck performs a synchronous request/ack exchange and returns the
-// positive ack for callers that branch on its code (a queued floor request
-// acks OK with codeFloorQueued). A timeout <= 0 means 5 s.
-func (c *Client) requestAck(e *envelope, timeout time.Duration) (*ackMsg, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
 	ctx, cancel := context.WithTimeout(context.TODO(), timeout)
 	defer cancel()
-	return c.requestAckCtx(ctx, e)
+	return c.requestCtx(ctx, e)
 }
 
 // requestAckCtx is the one request/ack exchange: the write deadline is the
 // context's remaining budget, capped at 5 s, and the ack wait ends on
-// cancellation.
+// cancellation. It returns the positive ack for callers that branch on its
+// code (a queued floor request acks OK with codeFloorQueued).
 func (c *Client) requestAckCtx(ctx context.Context, e *envelope) (*ackMsg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -9,24 +9,17 @@ import (
 // clients. The paper's collaborative steering requires exactly one
 // participant holding control authority at a time, with the others observing
 // — and contested authority must resolve deterministically, observably and
-// in bounded time even when the holder crashes, wedges or partitions.
+// in bounded time: a request is granted, queued under the session's
+// FloorPolicy or denied with the holder's name, never dropped, and a holder
+// that crashes, wedges or partitions loses the floor when its lease lapses.
 //
-// The subsystem has three parts:
-//
-//   - A master *lease*: the holder must stay live (any inbound frame renews
-//     it; idle clients send heartbeats) or the session's maintenance sweep
-//     expires the lease and passes the floor on within a bounded interval.
-//   - An explicit request/grant/deny protocol: a request while the floor is
-//     held is never silently dropped — it is granted, queued (the grant
-//     arrives later as a master-changed broadcast), or denied with the
-//     holder's name.
-//   - A pending-requester queue with a configurable policy: FIFO arrival
-//     order, priority order, or FIFO plus administrative steal.
-//
-// All floor state lives under Session.mu and every transition is a control
-// broadcast on the encode-once path (journaled as state, folded by
-// compaction), so the bookkeeping costs nothing on the sample fan-out hot
-// path and late joiners converge on the same master via their welcome frame.
+// The whole floor is one value, floorState, whose transitions touch no lock,
+// socket, clock or client connection: each returns the requester's verdict
+// and the master change to broadcast. Session calls them under Session.mu,
+// answers the requester and emits the change after unlock, on the
+// encode-once control path (journaled as state, folded by compaction), so
+// the floor costs nothing on the sample fan-out hot path and late joiners
+// converge on the same master via their welcome frame.
 
 // FloorPolicy selects how contested master requests are arbitrated.
 type FloorPolicy int
@@ -162,12 +155,16 @@ type floorWaiter struct {
 	arrival  uint64
 }
 
-// floorState is the session's floor bookkeeping, guarded by Session.mu. The
-// holder itself is Session.master — the one field the welcome snapshot and
-// the paper-era accessors already read.
+// floorState is the whole floor. The caller holds Session.mu around every
+// method and passes the time in (UnixNano of the session clock).
 type floorState struct {
-	pending []floorWaiter
-	arrival uint64
+	policy FloorPolicy
+	holder string // "" when the floor is free
+	// grantedAt is when the holder was granted the floor: its lease runs
+	// from the later of this and its last inbound frame.
+	grantedAt int64
+	pending   []floorWaiter
+	arrival   uint64
 	// seq numbers every floor transition. It rides each master-changed
 	// broadcast (and the welcome's floor frame) so clients apply
 	// transitions newest-wins even if two broadcasts — emitted outside
@@ -176,11 +173,19 @@ type floorState struct {
 	stats FloorStats
 }
 
-// masterChange is a pending master-changed broadcast, returned by the
-// mu-holding floor transitions and emitted by the caller after unlock so a
-// broadcast (which takes the journal attach barrier) never nests inside
-// Session.mu. The transition seq was assigned under the lock; the emit
-// order on the wire may differ, which is exactly what the seq guards.
+// floorVerdict is a transition's answer to the client that asked for it:
+// granted (the zero value), queued at pos behind holder, or denied with err.
+type floorVerdict struct {
+	pos    int
+	holder string
+	err    error
+}
+
+// masterChange is a pending master-changed broadcast, returned by the floor
+// transitions and emitted by the caller after unlock so a broadcast (which
+// takes the journal attach barrier) never nests inside Session.mu. The seq
+// was assigned under the lock; the emit order on the wire may differ, which
+// is exactly what the seq guards.
 type masterChange struct {
 	target string
 	reason FloorReason
@@ -195,21 +200,134 @@ func (mc masterChange) emit(s *Session) {
 	s.broadcastControl(&envelope{Type: msgMasterChanged, Seq: mc.seq, Target: mc.target, Reason: mc.reason})
 }
 
-// FloorStats returns a snapshot of the session's floor-control state.
-func (s *Session) FloorStats() FloorStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.floor.stats
-	st.Master = s.master
-	st.Pending = len(s.floor.pending)
+// snapshot returns the floor's stats with its holder and queue depth.
+func (f *floorState) snapshot() FloorStats {
+	st := f.stats
+	st.Master = f.holder
+	st.Pending = len(f.pending)
 	return st
 }
 
-// enqueueWaiterLocked queues one request (idempotently: a re-request from a
-// queued client refreshes its priority but keeps its arrival slot) and
-// returns the client's 1-based queue position.
-func (s *Session) enqueueWaiterLocked(name string, priority int64) int {
-	f := &s.floor
+// attach is the implicit grant at attach: a free floor goes to a client that
+// asked for it, or to the first participant (the paper's one-user case).
+// others counts the clients already attached. With none, the newcomer's
+// welcome is the only reader and no change is returned; otherwise the change
+// is broadcast like any grant, or the others would keep reading a free floor.
+func (f *floorState) attach(now int64, name string, wantMaster bool, others int) masterChange {
+	if f.holder != "" || (!wantMaster && others > 0) {
+		return masterChange{}
+	}
+	if mc := f.grant(now, name, FloorGranted); others > 0 {
+		return mc
+	}
+	return masterChange{}
+}
+
+// request is msgRequestMaster: grant, queue, steal or deny — never a silent
+// no-op. The holder re-requesting keeps the floor, which is how a waiter
+// whose grant broadcast was lost learns it holds it.
+func (f *floorState) request(now int64, name string, priority int64, steal, noWait bool) (floorVerdict, masterChange) {
+	switch {
+	case f.holder == name:
+		return floorVerdict{}, masterChange{}
+	case f.holder == "":
+		return floorVerdict{}, f.grant(now, name, FloorGranted)
+	case steal && f.policy != FloorSteal:
+		f.stats.Denials++
+		return floorVerdict{err: fmt.Errorf("%w by %q: policy %v forbids steal", ErrFloorHeld, f.holder, f.policy)}, masterChange{}
+	case steal:
+		f.stats.Steals++
+		f.remove(name)
+		return floorVerdict{}, f.grant(now, name, FloorStolen)
+	case noWait:
+		f.stats.Denials++
+		return floorVerdict{err: fmt.Errorf("%w by %q", ErrFloorHeld, f.holder)}, masterChange{}
+	}
+	return floorVerdict{pos: f.enqueue(name, priority), holder: f.holder}, masterChange{}
+}
+
+// release is msgReleaseMaster: the holder passes the floor on, anyone else
+// withdraws its queued request. Always granted — release is idempotent.
+func (f *floorState) release(now int64, name string) (floorVerdict, masterChange) {
+	if f.holder != name {
+		f.remove(name)
+		return floorVerdict{}, masterChange{}
+	}
+	f.stats.Releases++
+	return floorVerdict{}, f.pass(now, FloorReleased)
+}
+
+// handoff is msgHandoffMaster: the holder grants the floor to a named
+// attached client, superseding that client's queued request.
+func (f *floorState) handoff(now int64, from, to string, attached bool) (floorVerdict, masterChange) {
+	if f.holder != from {
+		return floorVerdict{err: ErrNotMaster}, masterChange{}
+	}
+	if !attached {
+		return floorVerdict{err: fmt.Errorf("%w: no client %q", ErrRejected, to)}, masterChange{}
+	}
+	f.stats.Handoffs++
+	f.remove(to)
+	return floorVerdict{}, f.grant(now, to, FloorHandoff)
+}
+
+// drop is a detach: the client leaves the queue, and if it held the floor
+// the next waiter gets it, else promotable (the oldest remaining client that
+// attached asking for mastership, or ""), else nobody — a session of pure
+// observers is left masterless rather than press-ganging one.
+func (f *floorState) drop(now int64, name, promotable string) masterChange {
+	f.remove(name)
+	if f.holder != name {
+		return masterChange{}
+	}
+	if len(f.pending) == 0 && promotable != "" {
+		return f.grant(now, promotable, FloorPromoted)
+	}
+	return f.pass(now, FloorVacated)
+}
+
+// expire takes the floor from a holder whose lease has lapsed: no inbound
+// frame (holderBeat) and no grant for longer than lease. It returns the
+// expired holder, or "" when nothing expired.
+func (f *floorState) expire(now, holderBeat int64, lease time.Duration) (string, masterChange) {
+	if f.holder == "" || now-max(holderBeat, f.grantedAt) <= int64(lease) {
+		return "", masterChange{}
+	}
+	f.stats.Expiries++
+	expired := f.holder
+	return expired, f.pass(now, FloorExpired)
+}
+
+// grant moves the floor to name ("" frees it) and numbers the transition.
+func (f *floorState) grant(now int64, name string, reason FloorReason) masterChange {
+	f.holder = name
+	if name != "" {
+		f.stats.Grants++
+		f.grantedAt = now
+	}
+	f.seq++
+	return masterChange{target: name, reason: reason, seq: f.seq}
+}
+
+// pass hands the floor to the next waiter, or frees it with reason. The
+// waiter is told FloorExpired if an expiry passed it the floor, FloorGranted
+// otherwise.
+func (f *floorState) pass(now int64, reason FloorReason) masterChange {
+	if len(f.pending) == 0 {
+		return f.grant(now, "", reason)
+	}
+	next := f.pending[0].name
+	f.pending = f.pending[1:]
+	if reason != FloorExpired {
+		reason = FloorGranted
+	}
+	return f.grant(now, next, reason)
+}
+
+// enqueue queues one request (idempotently: a re-request from a queued
+// client refreshes its priority but keeps its arrival slot) and returns the
+// client's 1-based queue position.
+func (f *floorState) enqueue(name string, priority int64) int {
 	found := -1
 	for i := range f.pending {
 		if f.pending[i].name == name {
@@ -223,7 +341,7 @@ func (s *Session) enqueueWaiterLocked(name string, priority int64) int {
 		f.pending = append(f.pending, floorWaiter{name: name, priority: priority, arrival: f.arrival})
 		found = len(f.pending) - 1
 	}
-	if s.cfg.FloorPolicy == FloorPriority {
+	if f.policy == FloorPriority {
 		// Stable re-sort: (priority desc, arrival asc). The queue is tiny —
 		// bounded by attached clients — and this is the cold control path.
 		w := f.pending[found]
@@ -240,192 +358,72 @@ func (s *Session) enqueueWaiterLocked(name string, priority int64) int {
 	return found + 1
 }
 
-// removeWaiterLocked cancels a queued request; reports whether it was queued.
-func (s *Session) removeWaiterLocked(name string) bool {
-	f := &s.floor
+// remove cancels a queued request, if any.
+func (f *floorState) remove(name string) {
 	for i := range f.pending {
 		if f.pending[i].name == name {
 			f.pending = append(f.pending[:i], f.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// dequeueWaiterLocked pops the best queued requester that is still attached,
-// or "".
-func (s *Session) dequeueWaiterLocked() string {
-	f := &s.floor
-	for len(f.pending) > 0 {
-		next := f.pending[0]
-		f.pending = f.pending[1:]
-		if _, attached := s.clients[next.name]; attached {
-			return next.name
-		}
-	}
-	return ""
-}
-
-// grantToLocked moves the floor to name and returns the broadcast to emit
-// after unlock. Passing "" frees the floor.
-func (s *Session) grantToLocked(name string, reason FloorReason) masterChange {
-	s.master = name
-	if name != "" {
-		s.floor.stats.Grants++
-		if cc, ok := s.clients[name]; ok {
-			// A fresh grant starts a fresh lease: the new master must not
-			// inherit staleness accumulated while observing.
-			cc.lastBeat.Store(s.now().UnixNano())
-		}
-	}
-	s.floor.seq++
-	return masterChange{target: name, reason: reason, seq: s.floor.seq}
-}
-
-// passFloorLocked vacates the floor and promotes the next queued requester,
-// or frees the floor with the given empty-queue reason.
-func (s *Session) passFloorLocked(freeReason FloorReason) masterChange {
-	if next := s.dequeueWaiterLocked(); next != "" {
-		reason := FloorGranted
-		if freeReason == FloorExpired {
-			reason = FloorExpired
-		}
-		return s.grantToLocked(next, reason)
-	}
-	return s.grantToLocked("", freeReason)
-}
-
-// handleRequestMaster implements msgRequestMaster: grant, queue, steal or
-// deny — never a silent no-op. The requester always gets an answer: an OK
-// ack (granted now), an OK ack with codeFloorQueued naming the holder (the
-// grant arrives later as a master-changed broadcast), or a denial carrying
-// the holder's name.
-func (s *Session) handleRequestMaster(cc *clientConn, e *envelope) {
-	s.mu.Lock()
-	switch {
-	case s.master == cc.name:
-		// Idempotent: the holder re-requesting keeps the floor.
-		s.mu.Unlock()
-		s.ack(cc, e.Seq)
-
-	case s.master == "":
-		mc := s.grantToLocked(cc.name, FloorGranted)
-		s.mu.Unlock()
-		s.ack(cc, e.Seq)
-		mc.emit(s)
-
-	case e.Steal:
-		if s.cfg.FloorPolicy != FloorSteal {
-			s.floor.stats.Denials++
-			holder := s.master
-			s.mu.Unlock()
-			s.rejectSteer(cc, e.Seq, fmt.Errorf("%w by %q: policy %v forbids steal", ErrFloorHeld, holder, s.cfg.FloorPolicy))
 			return
 		}
-		s.floor.stats.Steals++
-		s.removeWaiterLocked(cc.name)
-		mc := s.grantToLocked(cc.name, FloorStolen)
-		s.mu.Unlock()
-		s.ack(cc, e.Seq)
-		mc.emit(s)
+	}
+}
 
-	case e.NoWait:
-		s.floor.stats.Denials++
-		holder := s.master
-		s.mu.Unlock()
-		s.rejectSteer(cc, e.Seq, fmt.Errorf("%w by %q", ErrFloorHeld, holder))
+// FloorStats returns a snapshot of the session's floor-control state.
+func (s *Session) FloorStats() FloorStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.floor.snapshot()
+}
 
+// floorOp serves a request, release or handoff frame: the transition under
+// s.mu, then the requester's answer (an OK ack, an OK ack with
+// codeFloorQueued naming the holder — the grant arrives later as a
+// master-changed broadcast — or a denial), then the broadcast.
+func (s *Session) floorOp(cc *clientConn, e *envelope) {
+	now := s.now().UnixNano()
+	var v floorVerdict
+	var mc masterChange
+	s.mu.Lock()
+	switch e.Type {
+	case msgRequestMaster:
+		v, mc = s.floor.request(now, cc.name, cc.priority, e.Steal, e.NoWait)
+	case msgReleaseMaster:
+		v, mc = s.floor.release(now, cc.name)
 	default:
-		pos := s.enqueueWaiterLocked(cc.name, cc.priority)
-		holder := s.master
-		s.mu.Unlock()
+		_, attached := s.clients[e.Target]
+		v, mc = s.floor.handoff(now, cc.name, e.Target, attached)
+	}
+	s.mu.Unlock()
+	switch {
+	case v.err != nil:
+		s.rejectSteer(cc, e.Seq, v.err)
+	case v.pos > 0:
 		cc.codec.write(&envelope{Type: msgAck, Seq: e.Seq, Ack: &ackMsg{
 			OK: true, Code: codeFloorQueued,
-			Err: fmt.Sprintf("queued at %d behind %q", pos, holder),
+			Err: fmt.Sprintf("queued at %d behind %q", v.pos, v.holder),
 		}}, s.cfg.ControlTimeout)
+	default:
+		s.ack(cc, e.Seq)
 	}
-}
-
-// handleReleaseMaster implements msgReleaseMaster: the holder gives the
-// floor up (passing it to the next queued requester), a waiter cancels its
-// queued request. Always acked — release is idempotent.
-func (s *Session) handleReleaseMaster(cc *clientConn, e *envelope) {
-	s.mu.Lock()
-	var mc masterChange
-	if s.master == cc.name {
-		s.floor.stats.Releases++
-		mc = s.passFloorLocked(FloorReleased)
-	} else {
-		s.removeWaiterLocked(cc.name)
-	}
-	s.mu.Unlock()
-	s.ack(cc, e.Seq)
 	mc.emit(s)
 }
 
-// handleHandoffMaster implements msgHandoffMaster: the holder grants the
-// floor to a named attached client.
-func (s *Session) handleHandoffMaster(cc *clientConn, e *envelope) {
-	s.mu.Lock()
-	if s.master != cc.name {
-		s.mu.Unlock()
-		s.rejectSteer(cc, e.Seq, ErrNotMaster)
-		return
-	}
-	target, ok := s.clients[e.Target]
-	if !ok {
-		s.mu.Unlock()
-		s.rejectSteer(cc, e.Seq, fmt.Errorf("%w: no client %q", ErrRejected, e.Target))
-		return
-	}
-	s.floor.stats.Handoffs++
-	// A handoff supersedes the target's queued request, if any.
-	s.removeWaiterLocked(target.name)
-	mc := s.grantToLocked(target.name, FloorHandoff)
-	s.mu.Unlock()
-	s.ack(cc, e.Seq)
-	mc.emit(s)
-}
-
-// dropFloorLocked is drop's floor bookkeeping: the departing client leaves
-// the pending queue, and if it held the floor the next queued requester —
-// or, failing that, the oldest remaining client that attached asking for
-// mastership — is promoted. A session of pure observers is left masterless
-// (broadcast as a ""-target change) rather than promoting a client that
-// never asked to steer.
-func (s *Session) dropFloorLocked(cc *clientConn) masterChange {
-	s.removeWaiterLocked(cc.name)
-	if s.master != cc.name {
-		return masterChange{}
-	}
-	if next := s.dequeueWaiterLocked(); next != "" {
-		return s.grantToLocked(next, FloorGranted)
-	}
-	for _, name := range s.order {
-		if c := s.clients[name]; c != nil && c.wantMaster {
-			return s.grantToLocked(name, FloorPromoted)
-		}
-	}
-	return s.grantToLocked("", FloorVacated)
-}
-
-// sweepFloor is the maintenance sweep: if the master's lease has lapsed —
-// no inbound frame for longer than MasterLease — the floor passes to the
-// next queued requester (or falls free). The wedged client stays attached
-// as an observer; if it wakes, its next steer is rejected with ErrNotMaster.
-// It returns whether a lease was expired.
+// sweepFloor is the maintenance sweep: if the master's lease has lapsed the
+// floor passes to the next queued requester (or falls free). The wedged
+// client stays attached as an observer; if it wakes, its next steer is
+// rejected with ErrNotMaster. It returns whether a lease was expired.
 func (s *Session) sweepFloor() bool {
-	now := s.now()
+	now := s.now().UnixNano()
 	s.mu.Lock()
-	cc := s.clients[s.master]
-	if cc == nil || now.Sub(time.Unix(0, cc.lastBeat.Load())) <= s.cfg.MasterLease {
-		s.mu.Unlock()
+	var beat int64
+	if cc := s.clients[s.floor.holder]; cc != nil {
+		beat = cc.lastBeat.Load()
+	}
+	expired, mc := s.floor.expire(now, beat, s.cfg.MasterLease)
+	s.mu.Unlock()
+	if expired == "" {
 		return false
 	}
-	s.floor.stats.Expiries++
-	expired := s.master
-	mc := s.passFloorLocked(FloorExpired)
-	s.mu.Unlock()
 	mc.emit(s)
 	s.broadcastEvent(fmt.Sprintf("master lease expired: %q lost the floor", expired))
 	return true

@@ -617,3 +617,22 @@ func TestFloorStatsAndPolicyParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestAttachGrantReachesWatchers: a client that attaches asking for a free
+// floor is granted it at attach, and the clients already attached must hear
+// about it like any other grant — not keep reading the floor as vacated.
+func TestAttachGrantReachesWatchers(t *testing.T) {
+	s, dial := testSession(t, SessionConfig{})
+	first := dial(AttachOptions{Name: "first"})
+	viewer := dial(AttachOptions{Name: "viewer"})
+	first.Close()
+	waitFor(t, "floor vacated", func() bool { return viewer.FloorReason() == FloorVacated })
+
+	newcomer := dial(AttachOptions{Name: "newcomer", WantMaster: true})
+	if newcomer.Role() != RoleMaster || s.Master() != "newcomer" {
+		t.Fatalf("newcomer role %v, session master %q", newcomer.Role(), s.Master())
+	}
+	waitFor(t, "viewer to see the attach grant", func() bool {
+		return viewer.Master() == "newcomer" && viewer.FloorReason() == FloorGranted
+	})
+}

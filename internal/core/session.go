@@ -100,7 +100,6 @@ type Session struct {
 	mu      sync.Mutex
 	clients map[string]*clientConn
 	order   []string // attach order, for deterministic master promotion
-	master  string   // "" when no master
 	floor   floorState
 	view    ViewState
 	viewSeq uint64
@@ -202,9 +201,9 @@ type clientConn struct {
 	wantMaster bool
 	// priority orders the client's floor requests under the priority policy.
 	priority int64
-	// lastBeat is the UnixNano of the client's last inbound frame — the
-	// master lease renewal. Written by the read loop, read by the
-	// maintenance sweep, hence atomic; never touched on the broadcast path.
+	// lastBeat is the UnixNano of the client's last inbound frame (0 before
+	// the first) — the master lease renewal. Written by the read loop, read
+	// by the maintenance sweep, hence atomic; never on the broadcast path.
 	lastBeat atomic.Int64
 	// out is the bounded sample queue; when full the oldest sample is
 	// overwritten in place so a slow client sees the freshest data. ctrl is
@@ -226,6 +225,9 @@ type clientConn struct {
 	welcomed atomic.Bool
 	// handle is the writer's view of this client.
 	handle *ClientHandle
+	// grant is the attach-time grant's broadcast, emitted by ServePending
+	// once the attach barrier is released.
+	grant masterChange
 }
 
 // markGone declares the client dead exactly once. It closes the conn as
@@ -273,6 +275,7 @@ func NewSession(cfg SessionConfig) *Session {
 		cfg:     cfg,
 		params:  newParamTable(),
 		clients: make(map[string]*clientConn),
+		floor:   floorState{policy: cfg.FloorPolicy},
 		pending: make(chan pendingOp, 256),
 		view: ViewState{
 			Eye: [3]float64{1.8, 1.4, 2.2}, Center: [3]float64{0.5, 0.5, 0.5},
@@ -319,7 +322,7 @@ func (s *Session) Params() []Param { return s.params.snapshot() }
 func (s *Session) Master() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.master
+	return s.floor.holder
 }
 
 // Clients returns the attached client names in attach order.
@@ -468,6 +471,7 @@ func (s *Session) ServePending(p *PendingConn) error {
 		return err
 	}
 	defer s.drop(cc)
+	cc.grant.emit(s)
 
 	// Welcome frame carries the full session state. Broadcasts between
 	// admit and here only queue (the welcomed gate holds the writer off),
@@ -476,7 +480,7 @@ func (s *Session) ServePending(p *PendingConn) error {
 	// so delivering it after the welcome is harmless.
 	s.mu.Lock()
 	role := RoleObserver
-	if s.master == cc.name {
+	if s.floor.holder == cc.name {
 		role = RoleMaster
 	}
 	welcome := &envelope{Type: msgWelcome, Seq: p.seq, Welcome: &welcomeMsg{
@@ -484,7 +488,7 @@ func (s *Session) ServePending(p *PendingConn) error {
 		AppName:        s.cfg.AppName,
 		ClientName:     cc.name,
 		Role:           role,
-		Master:         s.master,
+		Master:         s.floor.holder,
 		Params:         s.params.snapshot(),
 		View:           cloneView(s.view),
 		LeaseMillis:    s.cfg.MasterLease.Milliseconds(),
@@ -632,16 +636,7 @@ func (s *Session) admitLocked(a *attachMsg, c *codec) (*clientConn, error) {
 	if a.Tier == TierObserver {
 		s.ensureRelayLocked()
 	}
-	cc.lastBeat.Store(s.now().UnixNano())
-	if s.master == "" && (a.WantMaster || len(s.clients) == 0) {
-		// Implicit grant at attach: the floor is free and the client asked
-		// (or is the first participant, the paper's one-user degenerate
-		// case). No broadcast — the welcome snapshot carries it — but the
-		// transition still takes a seq so later broadcasts order after it.
-		s.master = name
-		s.floor.stats.Grants++
-		s.floor.seq++
-	}
+	cc.grant = s.floor.attach(s.now().UnixNano(), name, a.WantMaster, len(s.clients))
 	s.clients[name] = cc
 	s.order = append(s.order, name)
 	return cc, nil
@@ -672,11 +667,11 @@ func (s *Session) rebuildClientsLocked() {
 
 // drop removes a client. If it held the master role the floor passes to
 // the next queued requester, then to the oldest remaining client that asked
-// for mastership — never to a pure observer; a session left with only
-// observers broadcasts "no master" instead of silently press-ganging one
-// (failure-handling behaviour of section 3.3's authenticated collaboration,
+// for mastership — never to a pure observer (floorState.drop; the
+// failure-handling behaviour of section 3.3's authenticated collaboration,
 // with ShAppliT-style explicit floor arbitration).
 func (s *Session) drop(cc *clientConn) {
+	now := s.now().UnixNano()
 	s.mu.Lock()
 	if _, ok := s.clients[cc.name]; !ok {
 		s.mu.Unlock()
@@ -689,7 +684,14 @@ func (s *Session) drop(cc *clientConn) {
 			break
 		}
 	}
-	mc := s.dropFloorLocked(cc)
+	promotable := ""
+	for _, name := range s.order {
+		if s.clients[name].wantMaster {
+			promotable = name
+			break
+		}
+	}
+	mc := s.floor.drop(now, cc.name, promotable)
 	s.rebuildClientsLocked()
 	s.mu.Unlock()
 
@@ -766,14 +768,8 @@ func (s *Session) dispatch(cc *clientConn, e *envelope) (done bool, err error) {
 		s.ack(cc, e.Seq)
 		s.broadcastControl(&envelope{Type: msgViewUpdate, View: update})
 
-	case msgRequestMaster:
-		s.handleRequestMaster(cc, e)
-
-	case msgReleaseMaster:
-		s.handleReleaseMaster(cc, e)
-
-	case msgHandoffMaster:
-		s.handleHandoffMaster(cc, e)
+	case msgRequestMaster, msgReleaseMaster, msgHandoffMaster:
+		s.floorOp(cc, e)
 
 	case msgSubscribe:
 		d := cc.desc.Load()
@@ -803,7 +799,7 @@ func (s *Session) dispatch(cc *clientConn, e *envelope) (done bool, err error) {
 func (s *Session) isMaster(cc *clientConn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.master == cc.name
+	return s.floor.holder == cc.name
 }
 
 // enqueueOp queues op for the next poll and never blocks: on a full queue
